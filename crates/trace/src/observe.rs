@@ -1,15 +1,34 @@
-//! Per-layer observations extracted from a segmented trace.
+//! Per-layer observations extracted from a memory trace.
 //!
 //! This is step 2 of the paper's Algorithm 1: *"Record the execution time of
 //! each layer and calculate `SIZE_IFM`, `SIZE_OFM`, and `SIZE_FLTR` based on
 //! the memory access pattern"* — plus the inter-layer connection structure
 //! (which earlier layer's output each layer consumes), which reveals fire
 //! modules and bypass paths.
+//!
+//! Step 1 (the layer boundaries of [`crate::segment`]) and step 2 run as
+//! one pass over the events. Every address maps to a
+//! dense table index: `(addr − lo) / block` when the trace is block-aligned
+//! (power-of-two block) over a compact span, else the address's rank among
+//! the trace's distinct addresses. Two `u32`s per index carry all the
+//! state: the segment that last wrote the address (the segmenter's "ever
+//! written", the RAW signal and the OFM count when it is the open segment,
+//! the producer behind an IFM read otherwise) and the segment that last
+//! read it, marking whether the block was never written then (the filter
+//! and IFM-per-producer counts, and the read-only blocks the fresh-region
+//! signal looks for). Both hold segment indices, so opening a segment
+//! needs no clearing.
+//!
+//! A write becomes its address's producer at once, yet no read is ever
+//! attributed to its own segment: reading an address written earlier in
+//! the open segment is the RAW signal, so that read always opens a new
+//! segment first.
 
-use std::collections::{BTreeMap, BTreeSet};
+use cnnre_obs::log_debug;
+use cnnre_obs::stream::BoundarySignal;
 
-use crate::segment::{segment_trace_with, Segment, SegmentConfig};
-use crate::{Addr, Cycle, Trace};
+use crate::segment::{Segment, SegmentConfig};
+use crate::{Addr, Cycle, MemoryEvent, Trace};
 
 /// Why a segment was classified the way it was.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -135,70 +154,7 @@ pub fn observe(trace: &Trace) -> TraceObservations {
 /// [`observe`] with explicit segmentation configuration.
 #[must_use]
 pub fn observe_with(trace: &Trace, config: SegmentConfig) -> TraceObservations {
-    let segments = segment_trace_with(trace, config);
-    let events = trace.events();
-
-    // Producer map: block address -> segment index that last wrote it.
-    // (Feature-map regions are written exactly once in the paper's model, so
-    // "last" and "only" coincide; we keep last-writer for robustness.)
-    let mut producer: BTreeMap<Addr, usize> = BTreeMap::new();
-    let mut layers = Vec::with_capacity(segments.len());
-
-    for (idx, seg) in segments.iter().enumerate() {
-        let mut written: BTreeSet<Addr> = BTreeSet::new();
-        let mut ro_read: BTreeSet<Addr> = BTreeSet::new();
-        let mut ifm_read: BTreeMap<usize, BTreeSet<Addr>> = BTreeMap::new();
-        for ev in &events[seg.first_event..seg.end_event] {
-            if ev.kind.is_write() {
-                written.insert(ev.addr);
-            } else if let Some(&p) = producer.get(&ev.addr) {
-                ifm_read.entry(p).or_default().insert(ev.addr);
-            } else {
-                ro_read.insert(ev.addr);
-            }
-        }
-        // Commit this segment's writes to the producer map *after* scanning
-        // it, so self-reads within a segment (which segmentation already
-        // rules out) would not self-reference.
-        for &a in &written {
-            producer.insert(a, idx);
-        }
-        let kind = if written.is_empty() && ro_read.is_empty() && ifm_read.is_empty() {
-            LayerKindHint::Other
-        } else if ro_read.is_empty() && ifm_read.is_empty() {
-            LayerKindHint::Prologue
-        } else if !ro_read.is_empty() {
-            LayerKindHint::Compute
-        } else if !written.is_empty() {
-            LayerKindHint::Merge
-        } else {
-            LayerKindHint::Other
-        };
-        layers.push(LayerObservation {
-            index: idx,
-            segment: *seg,
-            kind,
-            ofm_blocks: written.len() as u64,
-            weight_blocks: ro_read.len() as u64,
-            ifm_sources: ifm_read
-                .into_iter()
-                .map(|(p, s)| IfmSource {
-                    producer: p,
-                    blocks: s.len() as u64,
-                })
-                .collect(),
-            cycles: seg.cycles(),
-        });
-    }
-    // A layer's execution time is boundary-to-boundary: from its first
-    // transaction to the next layer's first transaction. (The span of its
-    // own events alone misses the trailing compute that overlaps no DMA.)
-    for i in 0..layers.len().saturating_sub(1) {
-        layers[i].cycles = layers[i + 1]
-            .segment
-            .start_cycle
-            .saturating_sub(layers[i].segment.start_cycle);
-    }
+    let layers = scan(trace, config);
     if cnnre_obs::stream::enabled() {
         // Classification is post-hoc (it needs the whole trace), so every
         // SegmentClassified event is stamped at the trace's end cycle —
@@ -218,7 +174,7 @@ pub fn observe_with(trace: &Trace, config: SegmentConfig) -> TraceObservations {
                     kind,
                     start_cycle: obs.segment.start_cycle,
                     end_cycle: obs.segment.end_cycle,
-                    ifm_blocks: obs.ifm_sources.iter().map(|s| s.blocks).sum(),
+                    ifm_blocks: obs.ifm_blocks_total(),
                     ofm_blocks: obs.ofm_blocks,
                     weight_blocks: obs.weight_blocks,
                 },
@@ -229,6 +185,247 @@ pub fn observe_with(trace: &Trace, config: SegmentConfig) -> TraceObservations {
         layers,
         elems_per_block: trace.elems_per_block(),
     }
+}
+
+/// The front-end pass: segments the trace and classifies every segment,
+/// under the `trace.segment` span.
+pub(crate) fn scan(trace: &Trace, config: SegmentConfig) -> Vec<LayerObservation> {
+    let mut span = cnnre_obs::span("trace.segment");
+    span.add_cycles(trace.duration());
+    let layers = if let Some((lo, shift, ids)) = compact_span(trace) {
+        let id = |addr: Addr| ((addr - lo) >> shift) as usize;
+        scan_with(trace, config, ids, id, |id| lo + ((id as u64) << shift))
+    } else {
+        let mut addrs: Vec<Addr> = trace.events().iter().map(|ev| ev.addr).collect();
+        addrs.sort_unstable();
+        addrs.dedup();
+        let id = |addr: Addr| addrs.partition_point(|&a| a < addr);
+        scan_with(trace, config, addrs.len(), id, |id| addrs[id])
+    };
+    #[cfg(feature = "audit-hooks")]
+    crate::audit::assert_well_formed(trace, &layers.iter().map(|l| l.segment).collect::<Vec<_>>());
+    layers
+}
+
+/// `(lo, log2 block, table length)` when every address is aligned to a
+/// power-of-two block and the span holds at most `4·events + 1024` blocks.
+fn compact_span(trace: &Trace) -> Option<(Addr, u32, usize)> {
+    let block = trace.block_bytes();
+    let events = trace.events();
+    let (mut lo, mut hi, mut bits) = (Addr::MAX, 0, 0);
+    for ev in events {
+        lo = lo.min(ev.addr);
+        hi = hi.max(ev.addr);
+        bits |= ev.addr;
+    }
+    let shift = block.trailing_zeros();
+    let blocks = hi.saturating_sub(lo) >> shift;
+    let budget = (events.len() as u64).saturating_mul(4).saturating_add(1024);
+    (block.is_power_of_two() && bits & (block - 1) == 0 && blocks <= budget)
+        .then(|| (lo, shift, blocks as usize + 1))
+}
+
+/// No segment has touched the address yet.
+const NONE: u32 = u32::MAX;
+
+/// Per-address state of the pass (see the module docs).
+#[derive(Clone, Copy)]
+struct Slot {
+    /// Segment that last wrote the address, or [`NONE`].
+    producer: u32,
+    /// `2·s + 1` when segment `s` last read the address and it was never
+    /// written then (a read-only block), `2·s` for other reads, [`NONE`]
+    /// before any read.
+    read: u32,
+}
+
+impl Slot {
+    const fn read_in(self, seg: u32) -> bool {
+        self.read >> 1 == seg
+    }
+
+    const fn read_only_in(self, seg: u32) -> bool {
+        self.read == 2 * seg + 1
+    }
+}
+
+/// Tallies of the open segment.
+#[derive(Default)]
+struct Open {
+    first_event: usize,
+    has_write: bool,
+    ofm_blocks: u64,
+    weight_blocks: u64,
+    /// Distinct blocks read per producing segment, indexed by segment.
+    ifm_blocks: Vec<u64>,
+    /// Producers with a non-zero `ifm_blocks` entry.
+    producers: Vec<usize>,
+}
+
+impl Open {
+    /// Closes the open segment, ending before `end_event`, and resets the
+    /// tallies for the next one.
+    fn close(&mut self, events: &[MemoryEvent], end_event: usize) -> LayerObservation {
+        let segment = Segment {
+            first_event: self.first_event,
+            end_event,
+            start_cycle: events[self.first_event].cycle,
+            end_cycle: events[end_event - 1].cycle,
+        };
+        self.producers.sort_unstable();
+        let ifm_sources: Vec<IfmSource> = self
+            .producers
+            .drain(..)
+            .map(|producer| IfmSource {
+                producer,
+                blocks: std::mem::take(&mut self.ifm_blocks[producer]),
+            })
+            .collect();
+        let kind = match (
+            self.weight_blocks > 0,
+            ifm_sources.is_empty(),
+            self.ofm_blocks > 0,
+        ) {
+            (true, _, _) => LayerKindHint::Compute,
+            (false, false, true) => LayerKindHint::Merge,
+            (false, true, true) => LayerKindHint::Prologue,
+            _ => LayerKindHint::Other,
+        };
+        // One entry per closed segment: the index of this one, which is a
+        // possible producer from here on.
+        let index = self.ifm_blocks.len();
+        self.ifm_blocks.push(0);
+        let layer = LayerObservation {
+            index,
+            segment,
+            kind,
+            ofm_blocks: std::mem::take(&mut self.ofm_blocks),
+            weight_blocks: std::mem::take(&mut self.weight_blocks),
+            ifm_sources,
+            cycles: segment.cycles(),
+        };
+        self.first_event = end_event;
+        self.has_write = false;
+        layer
+    }
+}
+
+/// [`scan`] over `ids` table slots: `id` maps an address to its slot and
+/// `addr_of` a slot back to its address, both increasing.
+fn scan_with(
+    trace: &Trace,
+    config: SegmentConfig,
+    ids: usize,
+    id: impl Fn(Addr) -> usize,
+    addr_of: impl Fn(usize) -> Addr,
+) -> Vec<LayerObservation> {
+    let events = trace.events();
+    let (block, slack) = (trace.block_bytes(), config.slack_bytes);
+    let untouched = Slot {
+        producer: NONE,
+        read: NONE,
+    };
+    let mut slots = vec![untouched; ids];
+    let mut layers = Vec::new();
+    let mut open = Open::default();
+    let mut raw = 0u64;
+    // The open segment's index. (Traces of 2^31 − 1 or more events are
+    // out of scope: they would not fit in memory.)
+    let mut seg = 0u32;
+    // Is a block read as read-only in this segment within `slack` bytes of
+    // the block in slot `k`? Walks outward over the slots in that window.
+    let near_read_only = |slots: &[Slot], k: usize, seg: u32| {
+        let addr = addr_of(k);
+        let lo = addr.saturating_sub(slack.saturating_add(block - 1));
+        let hi = addr.saturating_add(block - 1).saturating_add(slack);
+        let below = (0..k).rev().take_while(|&j| addr_of(j) >= lo);
+        let above = (k + 1..slots.len()).take_while(|&j| addr_of(j) <= hi);
+        below.chain(above).any(|j| slots[j].read_only_in(seg))
+    };
+    for (i, ev) in events.iter().enumerate() {
+        let k = id(ev.addr);
+        let slot = slots[k];
+        if ev.kind.is_read() {
+            // Fresh region: the first read of a never-written block with no
+            // read-only block of this segment within `slack` bytes. (Later
+            // reads of the block would find the block itself.)
+            let signal = if slot.producer == seg {
+                Some(BoundarySignal::Raw)
+            } else if slot.producer == NONE
+                && !slot.read_in(seg)
+                && open.has_write
+                && !near_read_only(&slots, k, seg)
+            {
+                Some(BoundarySignal::FreshRegion)
+            } else {
+                None
+            };
+            // Both signals need a write earlier in the open segment, so
+            // neither fires on its first event: `boundaries_rejected`
+            // stays 0.
+            if let Some(signal) = signal {
+                let is_raw = signal == BoundarySignal::Raw;
+                raw += u64::from(is_raw);
+                log_debug!(
+                    "trace.segment",
+                    "boundary at event {} cycle {} ({})",
+                    i,
+                    ev.cycle,
+                    if is_raw { "RAW" } else { "fresh region" }
+                );
+                if cnnre_obs::stream::enabled() {
+                    cnnre_obs::stream::emit_at(
+                        ev.cycle,
+                        cnnre_obs::stream::EventPayload::LayerBoundary {
+                            index: u64::from(seg),
+                            signal,
+                        },
+                    );
+                }
+                layers.push(open.close(events, i));
+                seg += 1;
+            }
+            if !slot.read_in(seg) {
+                let read_only = slot.producer == NONE;
+                slots[k].read = 2 * seg + u32::from(read_only);
+                if read_only {
+                    open.weight_blocks += 1;
+                } else {
+                    let producer = slot.producer as usize;
+                    if open.ifm_blocks[producer] == 0 {
+                        open.producers.push(producer);
+                    }
+                    open.ifm_blocks[producer] += 1;
+                }
+            }
+        } else {
+            if slot.producer != seg {
+                slots[k].producer = seg;
+                open.ofm_blocks += 1;
+            }
+            open.has_write = true;
+        }
+    }
+    if events.len() > open.first_event {
+        layers.push(open.close(events, events.len()));
+    }
+    // A layer's execution time is boundary-to-boundary: from its first
+    // transaction to the next layer's first transaction. (The span of its
+    // own events alone misses the trailing compute that overlaps no DMA.)
+    for i in 0..layers.len().saturating_sub(1) {
+        layers[i].cycles = layers[i + 1]
+            .segment
+            .start_cycle
+            .saturating_sub(layers[i].segment.start_cycle);
+    }
+    let reg = cnnre_obs::global();
+    reg.counter("trace.segment.events").add(events.len() as u64);
+    reg.counter("trace.segment.raw_boundaries_accepted")
+        .add(raw);
+    reg.counter("trace.segment.fresh_region_boundaries_accepted")
+        .add(u64::from(seg) - raw);
+    reg.counter("trace.segment.boundaries_rejected").add(0);
+    layers
 }
 
 #[cfg(test)]
@@ -338,6 +535,24 @@ mod tests {
         assert!(!obs.size_matches(3, 32));
         assert!(!obs.size_matches(3, 49));
         assert_eq!(obs.element_bounds(0), (0, 0));
+    }
+
+    #[test]
+    fn sparse_trace_takes_rank_ids_sized_by_its_addresses() {
+        // The span is 2^58 blocks; the tables must hold two slots instead.
+        let mut b = TraceBuilder::new(BLK, 4);
+        b.record(0, 0, AccessKind::Write);
+        b.record(1, u64::MAX - (BLK - 1), AccessKind::Read);
+        let trace = b.finish();
+        assert_eq!(compact_span(&trace), None);
+        let obs = observe(&trace);
+        assert_eq!(obs.layers.len(), 2);
+        assert_eq!(obs.layers[1].weight_blocks, 1);
+        // A compact span takes dense ids, one slot per block of the span.
+        let mut b = TraceBuilder::new(BLK, 4);
+        b.record(0, 0x1000, AccessKind::Write);
+        b.record(1, 0x1000 + 1024 * BLK, AccessKind::Read);
+        assert_eq!(compact_span(&b.finish()), Some((0x1000, 6, 1025)));
     }
 
     #[test]

@@ -9,7 +9,6 @@ use cnnre_tensor::rng::{Rng, SeedableRng, SmallRng};
 
 use crate::defense::{jitter_timing, pad_write_traffic, shuffle_within_window};
 use crate::io::{read_binary, read_csv, write_binary, write_csv};
-use crate::segment::{segment_trace, SegmentConfig, StreamingSegmenter};
 use crate::stats::{TraceStats, TrafficProfile};
 use crate::{AccessKind, Trace, TraceBuilder};
 
@@ -134,34 +133,6 @@ fn shuffle_is_a_permutation() {
             v
         };
         assert_eq!(key(&s), key(&trace));
-    }
-}
-
-/// The streaming segmenter agrees with batch segmentation event-for-event —
-/// segments tile the trace, in order, regardless of how the event stream is
-/// chunked.
-#[test]
-fn streaming_segmentation_matches_batch() {
-    for seed in 0..CASES {
-        let trace = arb_trace(seed);
-        let batch = segment_trace(&trace);
-        let mut seg = StreamingSegmenter::new(
-            trace.block_bytes(),
-            SegmentConfig {
-                slack_bytes: trace.block_bytes(),
-            },
-        );
-        let mut streamed: Vec<_> = trace.events().iter().filter_map(|e| seg.push(*e)).collect();
-        streamed.extend(seg.finish());
-        assert_eq!(&streamed, &batch);
-        // Tiling invariant: segments cover [0, len) without gaps.
-        if !trace.is_empty() {
-            assert_eq!(streamed[0].first_event, 0);
-            assert_eq!(streamed.last().expect("non-empty").end_event, trace.len());
-            for w in streamed.windows(2) {
-                assert_eq!(w[0].end_event, w[1].first_event);
-            }
-        }
     }
 }
 

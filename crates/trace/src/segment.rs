@@ -9,23 +9,22 @@
 //!    that was *written during the current segment*. The OFM written by a
 //!    layer is first read back by the layer that consumes it, so this fires
 //!    exactly at the consumer's first input fetch.
-//! 2. **Fresh read-only region**: a read to a never-written address that
-//!    does not belong to any read-only region already touched in the
-//!    current segment, after the current segment has produced writes. This
-//!    catches the second of two back-to-back layers that share an input
-//!    (e.g. the two parallel expand convolutions of a SqueezeNet fire
-//!    module, which both read the squeeze output): its weight fetches land
-//!    in a fresh region even though its input was already read before.
+//! 2. **Fresh read-only region**: a read of a never-written block with no
+//!    never-written block read in the current segment within
+//!    [`SegmentConfig::slack_bytes`] of it, after the current segment has
+//!    produced writes. (A read-only region is thus a run of such blocks
+//!    with gaps of at most the slack.) This catches the second of two
+//!    back-to-back layers that share an input (e.g. the two parallel
+//!    expand convolutions of a SqueezeNet fire module, which both read the
+//!    squeeze output): its weight fetches land in a fresh region even
+//!    though its input was already read before.
 //!
 //! Both signals are pure functions of (address, read/write, time) — exactly
-//! the threat model's observables.
+//! the threat model's observables. They are applied by the single
+//! front-end pass in [`crate::observe`], which classifies each segment as
+//! it closes.
 
-use std::collections::BTreeMap;
-use std::collections::HashSet; // lint:allow(hash-iter): membership-only sets below
-
-use cnnre_obs::{log_debug, Counter};
-
-use crate::{Addr, Cycle, MemoryEvent, Trace};
+use crate::{Cycle, Trace};
 
 /// A contiguous run of trace events attributed to one accelerator layer
 /// (or to the host's input staging, for the first segment).
@@ -68,7 +67,8 @@ pub struct SegmentConfig {
     /// Two read-only addresses within `slack_bytes` of an existing region's
     /// extent are considered part of that region. Defaults to the trace's
     /// block size; must be smaller than the DRAM allocator's inter-region
-    /// guard gap.
+    /// guard gap. The pass looks at every block within the slack of a new
+    /// read-only block, so its cost grows with `slack_bytes / block`.
     pub slack_bytes: u64,
 }
 
@@ -78,70 +78,6 @@ impl SegmentConfig {
     pub fn for_trace(trace: &Trace) -> Self {
         Self {
             slack_bytes: trace.block_bytes(),
-        }
-    }
-}
-
-/// Disjoint read-only interval set with slack-based clustering.
-#[derive(Debug, Default)]
-struct IntervalSet {
-    /// Map from interval start to inclusive interval end.
-    intervals: BTreeMap<Addr, Addr>,
-}
-
-impl IntervalSet {
-    fn clear(&mut self) {
-        self.intervals.clear();
-    }
-
-    /// Returns `true` when `addr` lies within `slack` of an existing
-    /// interval (and extends that interval); `false` when a new interval had
-    /// to be created.
-    fn insert(&mut self, addr: Addr, block: u64, slack: u64) -> bool {
-        // Predecessor interval: the last interval starting at or before addr.
-        let pred = self
-            .intervals
-            .range(..=addr)
-            .next_back()
-            .map(|(&lo, &hi)| (lo, hi));
-        if let Some((lo, hi)) = pred {
-            if addr <= hi.saturating_add(slack) {
-                let new_hi = hi.max(addr + block - 1);
-                self.intervals.insert(lo, new_hi);
-                self.merge_forward(lo, slack);
-                return true;
-            }
-        }
-        // Successor interval: the first interval starting after addr.
-        let succ = self
-            .intervals
-            .range(addr..)
-            .next()
-            .map(|(&lo, &hi)| (lo, hi));
-        if let Some((lo, hi)) = succ {
-            if lo <= (addr + block - 1).saturating_add(slack) {
-                self.intervals.remove(&lo);
-                self.intervals.insert(addr, hi.max(addr + block - 1));
-                return true;
-            }
-        }
-        self.intervals.insert(addr, addr + block - 1);
-        false
-    }
-
-    /// Merges the interval starting at `lo` with any successors it now
-    /// overlaps (within slack).
-    fn merge_forward(&mut self, lo: Addr, slack: u64) {
-        loop {
-            let hi = self.intervals[&lo];
-            let next = self.intervals.range(lo + 1..).next().map(|(&l, &h)| (l, h));
-            match next {
-                Some((nl, nh)) if nl <= hi.saturating_add(slack) => {
-                    self.intervals.remove(&nl);
-                    self.intervals.insert(lo, hi.max(nh));
-                }
-                _ => break,
-            }
         }
     }
 }
@@ -175,220 +111,20 @@ pub fn segment_trace(trace: &Trace) -> Vec<Segment> {
     segment_trace_with(trace, SegmentConfig::for_trace(trace))
 }
 
-/// [`segment_trace`] with explicit configuration.
+/// [`segment_trace`] with explicit configuration: the segments of the
+/// single front-end pass behind [`crate::observe::observe_with`].
 ///
 /// With the `audit-hooks` feature enabled (the workspace turns it on for
-/// test builds), every returned segmentation is re-checked against the
-/// structural invariants in [`crate::audit`] and the call panics on any
-/// violation — a sanitizer for the segmenter itself and for callers that
-/// feed it corrupted traces.
+/// test builds), every segmentation is re-checked against the structural
+/// invariants in [`crate::audit`] and the call panics on any violation — a
+/// sanitizer for the segmenter itself and for callers that feed it
+/// corrupted traces.
 #[must_use]
 pub fn segment_trace_with(trace: &Trace, config: SegmentConfig) -> Vec<Segment> {
-    let mut span = cnnre_obs::span("trace.segment");
-    span.add_cycles(trace.duration());
-    let mut segmenter = StreamingSegmenter::new(trace.block_bytes(), config);
-    let mut segments: Vec<Segment> = trace
-        .events()
-        .iter()
-        .filter_map(|ev| segmenter.push(*ev))
-        .collect();
-    segments.extend(segmenter.finish());
-    #[cfg(feature = "audit-hooks")]
-    crate::audit::assert_well_formed(trace, &segments);
-    segments
-}
-
-/// Incremental layer-boundary detection — the same algorithm as
-/// [`segment_trace`] but consuming one event at a time, so traces larger
-/// than memory (or arriving live from a bus probe) can be segmented
-/// without materializing a [`Trace`].
-///
-/// # Example
-///
-/// ```
-/// use cnnre_trace::{AccessKind, MemoryEvent, Trace};
-/// use cnnre_trace::segment::{SegmentConfig, StreamingSegmenter};
-///
-/// let mut seg = StreamingSegmenter::new(64, SegmentConfig { slack_bytes: 64 });
-/// let ev = |cycle, addr, kind| MemoryEvent { cycle, addr, kind };
-/// assert!(seg.push(ev(0, 0, AccessKind::Write)).is_none());
-/// // A read of an address written in the current segment closes it:
-/// let first = seg.push(ev(10, 0, AccessKind::Read)).expect("boundary");
-/// assert_eq!(first.first_event, 0);
-/// assert_eq!(first.end_event, 1);
-/// let last = seg.finish().expect("trailing segment");
-/// assert_eq!(last.end_event, 2);
-/// ```
-#[derive(Debug)]
-pub struct StreamingSegmenter {
-    block: u64,
-    slack: u64,
-    // lint:allow(hash-iter): contains/insert only, per-event hot path
-    global_written: HashSet<Addr>,
-    // lint:allow(hash-iter): contains/insert/clear only, per-event hot path
-    written_this: HashSet<Addr>,
-    ro_regions: IntervalSet,
-    has_write: bool,
-    index: usize,
-    seg_start: usize,
-    seg_start_cycle: Cycle,
-    prev_cycle: Cycle,
-    boundaries: u64,
-    obs: SegmenterObs,
-}
-
-/// Hoisted metric handles for the segmenter's hot path.
-#[derive(Debug)]
-struct SegmenterObs {
-    events: Counter,
-    raw_accepted: Counter,
-    fresh_accepted: Counter,
-    rejected: Counter,
-}
-
-impl SegmenterObs {
-    fn new() -> Self {
-        let reg = cnnre_obs::global();
-        Self {
-            events: reg.counter("trace.segment.events"),
-            raw_accepted: reg.counter("trace.segment.raw_boundaries_accepted"),
-            fresh_accepted: reg.counter("trace.segment.fresh_region_boundaries_accepted"),
-            rejected: reg.counter("trace.segment.boundaries_rejected"),
-        }
-    }
-}
-
-impl StreamingSegmenter {
-    /// Creates a segmenter for events at the given block granularity.
-    #[must_use]
-    pub fn new(block_bytes: u64, config: SegmentConfig) -> Self {
-        Self {
-            block: block_bytes,
-            slack: config.slack_bytes,
-            // lint:allow(hash-iter): membership-only, see field docs
-            global_written: HashSet::new(),
-            // lint:allow(hash-iter): membership-only, see field docs
-            written_this: HashSet::new(),
-            ro_regions: IntervalSet::default(),
-            has_write: false,
-            index: 0,
-            seg_start: 0,
-            seg_start_cycle: 0,
-            prev_cycle: 0,
-            boundaries: 0,
-            obs: SegmenterObs::new(),
-        }
-    }
-
-    /// Number of events consumed so far.
-    #[must_use]
-    pub const fn events_seen(&self) -> usize {
-        self.index
-    }
-
-    /// Feeds the next event (events must arrive in time order). Returns
-    /// the just-*completed* segment when this event opens a new one.
-    pub fn push(&mut self, ev: MemoryEvent) -> Option<Segment> {
-        self.obs.events.inc();
-        let mut completed = None;
-        let mut boundary = false;
-        let mut raw_signal = false;
-        if ev.kind.is_read() {
-            if self.written_this.contains(&ev.addr) {
-                boundary = true; // RAW on an address produced by this segment
-                raw_signal = true;
-            } else if !self.global_written.contains(&ev.addr) {
-                // Probe without committing: would this start a fresh RO
-                // region? (Committed below after any boundary handling.)
-                let fresh = !ro_region_contains(&self.ro_regions, ev.addr, self.block, self.slack);
-                if fresh && self.has_write {
-                    boundary = true;
-                }
-            }
-        }
-        if boundary && self.index > self.seg_start {
-            if raw_signal {
-                self.obs.raw_accepted.inc();
-            } else {
-                self.obs.fresh_accepted.inc();
-            }
-            log_debug!(
-                "trace.segment",
-                "boundary at event {} cycle {} ({})",
-                self.index,
-                ev.cycle,
-                if raw_signal { "RAW" } else { "fresh region" }
-            );
-            if cnnre_obs::stream::enabled() {
-                cnnre_obs::stream::emit_at(
-                    ev.cycle,
-                    cnnre_obs::stream::EventPayload::LayerBoundary {
-                        index: self.boundaries,
-                        signal: if raw_signal {
-                            cnnre_obs::stream::BoundarySignal::Raw
-                        } else {
-                            cnnre_obs::stream::BoundarySignal::FreshRegion
-                        },
-                    },
-                );
-            }
-            self.boundaries += 1;
-            completed = Some(Segment {
-                first_event: self.seg_start,
-                end_event: self.index,
-                start_cycle: self.seg_start_cycle,
-                end_cycle: self.prev_cycle,
-            });
-            self.seg_start = self.index;
-            self.written_this.clear();
-            self.ro_regions.clear();
-            self.has_write = false;
-        } else if boundary {
-            // A boundary signal on the very first event of a segment
-            // carries no information — suppressed.
-            self.obs.rejected.inc();
-        }
-        if self.index == self.seg_start {
-            self.seg_start_cycle = ev.cycle;
-        }
-        // Apply the event to the (possibly fresh) segment state.
-        if ev.kind.is_write() {
-            self.global_written.insert(ev.addr);
-            self.written_this.insert(ev.addr);
-            self.has_write = true;
-        } else if !self.global_written.contains(&ev.addr) {
-            let _ = self.ro_regions.insert(ev.addr, self.block, self.slack);
-        }
-        self.prev_cycle = ev.cycle;
-        self.index += 1;
-        completed
-    }
-
-    /// Closes the stream, returning the trailing segment (if any events
-    /// arrived since the last boundary).
-    #[must_use]
-    pub fn finish(self) -> Option<Segment> {
-        (self.index > self.seg_start).then_some(Segment {
-            first_event: self.seg_start,
-            end_event: self.index,
-            start_cycle: self.seg_start_cycle,
-            end_cycle: self.prev_cycle,
-        })
-    }
-}
-
-fn ro_region_contains(set: &IntervalSet, addr: Addr, block: u64, slack: u64) -> bool {
-    if let Some((_, &hi)) = set.intervals.range(..=addr).next_back() {
-        if addr <= hi.saturating_add(slack) {
-            return true;
-        }
-    }
-    if let Some((&lo, _)) = set.intervals.range(addr..).next() {
-        if lo <= (addr + block - 1).saturating_add(slack) {
-            return true;
-        }
-    }
-    false
+    crate::observe::scan(trace, config)
+        .into_iter()
+        .map(|layer| layer.segment)
+        .collect()
 }
 
 #[cfg(test)]
@@ -530,24 +266,6 @@ mod tests {
         assert_eq!(segs.len(), 3, "{segs:?}");
         assert_eq!(segs[1].len(), 3);
         assert_eq!(segs[2].len(), 3);
-    }
-
-    #[test]
-    fn interval_set_clusters_with_slack() {
-        let mut s = IntervalSet::default();
-        assert!(!s.insert(0, 64, 64)); // new region [0,63]
-        assert!(s.insert(64, 64, 64)); // adjacent -> [0,127]
-        assert!(s.insert(191, 64, 64)); // within slack -> [0,254]
-        assert!(!s.insert(1024, 64, 64)); // far away -> new region
-        assert_eq!(s.intervals.len(), 2);
-        // A block just before an existing region extends it backwards.
-        assert!(s.insert(960, 64, 64));
-        assert_eq!(s.intervals.len(), 2);
-        // Bridging block merges the two regions (960-254 gap closed stepwise).
-        for addr in [256u64, 320, 384, 448, 512, 576, 640, 704, 768, 832, 896] {
-            assert!(s.insert(addr, 64, 64), "addr {addr}");
-        }
-        assert_eq!(s.intervals.len(), 1);
     }
 
     #[test]

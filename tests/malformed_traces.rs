@@ -118,3 +118,21 @@ fn wrong_class_count_prior_fails_cleanly() {
     let r = recover_structures(&trace, (32, 1), 7000, &NetworkSolverConfig::default());
     assert!(r.is_err() || r.as_ref().unwrap().is_empty());
 }
+
+#[test]
+fn read_of_the_last_block_of_the_address_space_does_not_panic() {
+    // The trace readers accept any u64 address. A layer that writes, then
+    // reads never-written blocks ending at u64::MAX, probes the read-only
+    // region extents at the very top of the address space.
+    let top = u64::MAX - 63;
+    let csv = format!(
+        "# block_bytes=64 element_bytes=4\ncycle,address,is_write\n\
+         0,0,1\n1,{},0\n2,{top},0\n3,64,1\n4,{top},0\n",
+        top - 64
+    );
+    let trace = cnn_reveng::trace::io::read_csv(csv.as_bytes()).expect("parses");
+    let obs = cnn_reveng::trace::observe::observe(&trace);
+    assert_eq!(obs.layers.len(), 2, "{:?}", obs.layers);
+    assert_eq!(obs.layers[1].weight_blocks, 2);
+    assert_eq!(obs.layers[1].ofm_blocks, 1);
+}

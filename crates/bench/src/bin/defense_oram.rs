@@ -1,16 +1,18 @@
 //! Regenerates the ORAM defense sweep.
-fn main() {
-    let out = cnnre_bench::parse_out_flag();
-    let events = cnnre_bench::parse_event_flags();
-    let profile = cnnre_bench::parse_profile_flags();
-    let obs = cnnre_bench::parse_serve_obs_flag();
+use cnnre_attacks::obsd::{MetricsSink, ObsSession};
+use std::process::ExitCode;
+
+fn main() -> ExitCode {
+    let session = match ObsSession::new(MetricsSink::Bench("defense_oram")) {
+        Ok(session) => session,
+        Err(e) => return e.report(),
+    };
     let (baseline, rows) = cnnre_bench::experiments::defense::run();
     println!(
         "{}",
         cnnre_bench::experiments::defense::render(baseline, &rows)
     );
-    cnnre_bench::write_profile(profile);
-    cnnre_bench::write_events(events);
-    cnnre_bench::write_out(out, "defense_oram");
-    cnnre_bench::finish_serve_obs(obs);
+    session
+        .finish(true)
+        .map_or_else(|e| e.report(), |()| ExitCode::SUCCESS)
 }

@@ -1,11 +1,13 @@
 //! Regenerates the paper's Figure 3 (plus a CSV for external plotting).
+use cnnre_attacks::obsd::{MetricsSink, ObsSession};
 use std::io::Write;
+use std::process::ExitCode;
 
-fn main() {
-    let out = cnnre_bench::parse_out_flag();
-    let events = cnnre_bench::parse_event_flags();
-    let profile = cnnre_bench::parse_profile_flags();
-    let obs = cnnre_bench::parse_serve_obs_flag();
+fn main() -> ExitCode {
+    let session = match ObsSession::new(MetricsSink::Bench("fig3")) {
+        Ok(session) => session,
+        Err(e) => return e.report(),
+    };
     let fig = cnnre_bench::experiments::fig3::run(97);
     println!("{}", cnnre_bench::experiments::fig3::render(&fig));
     let path = std::env::temp_dir().join("cnnre_fig3_trace.csv");
@@ -16,8 +18,7 @@ fn main() {
         }
         println!("full series written to {}", path.display());
     }
-    cnnre_bench::write_profile(profile);
-    cnnre_bench::write_events(events);
-    cnnre_bench::write_out(out, "fig3");
-    cnnre_bench::finish_serve_obs(obs);
+    session
+        .finish(true)
+        .map_or_else(|e| e.report(), |()| ExitCode::SUCCESS)
 }

@@ -1,11 +1,13 @@
 //! Regenerates the paper's Figure 4 (candidate accuracy ranking).
+use cnnre_attacks::obsd::{MetricsSink, ObsSession};
 use cnnre_bench::experiments::fig4;
+use std::process::ExitCode;
 
-fn main() {
-    let out = cnnre_bench::parse_out_flag();
-    let events = cnnre_bench::parse_event_flags();
-    let profile = cnnre_bench::parse_profile_flags();
-    let obs = cnnre_bench::parse_serve_obs_flag();
+fn main() -> ExitCode {
+    let session = match ObsSession::new(MetricsSink::Bench("fig4")) {
+        Ok(session) => session,
+        Err(e) => return e.report(),
+    };
     let cfg = if cnnre_bench::quick_mode() {
         fig4::RankingConfig::quick()
     } else {
@@ -13,8 +15,7 @@ fn main() {
     };
     let fig = fig4::run(&cfg);
     println!("{}", fig4::render(&fig));
-    cnnre_bench::write_profile(profile);
-    cnnre_bench::write_events(events);
-    cnnre_bench::write_out(out, "fig4");
-    cnnre_bench::finish_serve_obs(obs);
+    session
+        .finish(true)
+        .map_or_else(|e| e.report(), |()| ExitCode::SUCCESS)
 }

@@ -1,12 +1,13 @@
 //! Regenerates the paper's Figure 7 (CONV1 weight/bias ratio recovery).
+use cnnre_attacks::obsd::{MetricsSink, ObsSession};
 use cnnre_bench::experiments::fig7;
+use std::process::ExitCode;
 
-fn main() {
-    cnnre_bench::parse_threads_flag();
-    let out = cnnre_bench::parse_out_flag();
-    let events = cnnre_bench::parse_event_flags();
-    let profile = cnnre_bench::parse_profile_flags();
-    let obs = cnnre_bench::parse_serve_obs_flag();
+fn main() -> ExitCode {
+    let session = match ObsSession::new(MetricsSink::Bench("fig7")) {
+        Ok(session) => session,
+        Err(e) => return e.report(),
+    };
     let cfg = if cnnre_bench::quick_mode() {
         fig7::Fig7Config::quick()
     } else {
@@ -14,8 +15,7 @@ fn main() {
     };
     let fig = fig7::run(&cfg);
     println!("{}", fig7::render(&fig));
-    cnnre_bench::write_profile(profile);
-    cnnre_bench::write_events(events);
-    cnnre_bench::write_out(out, "fig7");
-    cnnre_bench::finish_serve_obs(obs);
+    session
+        .finish(true)
+        .map_or_else(|e| e.report(), |()| ExitCode::SUCCESS)
 }

@@ -1,10 +1,12 @@
 //! Regenerates the paper's Table 3.
-fn main() {
-    cnnre_bench::parse_threads_flag();
-    let out = cnnre_bench::parse_out_flag();
-    let events = cnnre_bench::parse_event_flags();
-    let profile = cnnre_bench::parse_profile_flags();
-    let obs = cnnre_bench::parse_serve_obs_flag();
+use cnnre_attacks::obsd::{MetricsSink, ObsSession};
+use std::process::ExitCode;
+
+fn main() -> ExitCode {
+    let session = match ObsSession::new(MetricsSink::Bench("table3")) {
+        Ok(session) => session,
+        Err(e) => return e.report(),
+    };
     let rows = cnnre_bench::experiments::table3::run();
     println!("{}", cnnre_bench::experiments::table3::render(&rows));
     let reduction = cnnre_bench::experiments::table3::reduction(&rows);
@@ -12,8 +14,7 @@ fn main() {
         "{}",
         cnnre_bench::experiments::table3::render_reduction(&reduction)
     );
-    cnnre_bench::write_profile(profile);
-    cnnre_bench::write_events(events);
-    cnnre_bench::write_out(out, "table3");
-    cnnre_bench::finish_serve_obs(obs);
+    session
+        .finish(true)
+        .map_or_else(|e| e.report(), |()| ExitCode::SUCCESS)
 }

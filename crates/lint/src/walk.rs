@@ -180,6 +180,6 @@ mod tests {
         assert!(in_src("src/lib.rs"));
         assert!(in_src("crates/nn/src/geometry.rs"));
         assert!(!in_src("crates/nn/tests/gradient_check.rs"));
-        assert!(!in_src("crates/bench/benches/fig3.rs"));
+        assert!(!in_src("crates/trace/benches/segment.rs"));
     }
 }

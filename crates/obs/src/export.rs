@@ -309,15 +309,6 @@ impl Snapshot {
     pub fn write_json(&self, path: &Path, include_wall_clock: bool) -> io::Result<()> {
         std::fs::write(path, self.to_json(include_wall_clock))
     }
-
-    /// Writes [`Snapshot::to_bench_json`] output to `path`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates file-system errors.
-    pub fn write_bench_json(&self, path: &Path, experiment: &str) -> io::Result<()> {
-        std::fs::write(path, self.to_bench_json(experiment))
-    }
 }
 
 #[cfg(test)]

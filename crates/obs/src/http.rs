@@ -46,7 +46,7 @@
 //! `scripts/check.sh` can probe the endpoints without `curl`.
 
 use std::collections::BTreeMap;
-use std::io::{self, Read, Write};
+use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::time::Duration;
 
@@ -395,23 +395,26 @@ fn serve_events(stream: &mut TcpStream, req: &Request, state: &ServerState) -> i
         b"HTTP/1.1 200 OK\r\nContent-Type: application/octet-stream\r\n\
           Transfer-Encoding: chunked\r\nConnection: close\r\n\r\n",
     )?;
-    write_chunk(stream, &crate::stream::recorded_stream_snapshot())?;
-    if req.query.get("follow").map(String::as_str) == Some("1") {
-        let tap = crate::stream::LiveTap::attach();
-        while !state.is_shutdown() {
-            let frames = tap.take_queued();
-            if frames.is_empty() {
-                thread::sleep(FOLLOW_POLL);
-                continue;
-            }
-            for f in &frames {
-                // A write error (client gone) propagates; dropping the tap
-                // detaches it and updates `events.clients` immediately.
-                write_chunk(stream, f)?;
-            }
-        }
+    if req.query.get("follow").map(String::as_str) != Some("1") {
+        write_chunk(stream, &crate::stream::recorded_stream_snapshot())?;
+        return stream.write_all(b"0\r\n\r\n");
     }
-    stream.write_all(b"0\r\n\r\n")
+    let (replay, tap) = crate::stream::follow();
+    write_chunk(stream, &replay)?;
+    loop {
+        // Read the flag before draining: a frame emitted before shutdown
+        // began is already queued, so this last drain still sends it.
+        let finished = state.is_shutdown();
+        for f in &tap.take_queued() {
+            // A write error (client gone) propagates; dropping the tap
+            // detaches it and updates `events.clients` immediately.
+            write_chunk(stream, f)?;
+        }
+        if finished {
+            return stream.write_all(b"0\r\n\r\n");
+        }
+        thread::sleep(FOLLOW_POLL);
+    }
 }
 
 /// The `/progress` body: run table, latest `*.progress.*` samples from
@@ -596,75 +599,123 @@ fn accept_loop(
 // Minimal scrape client (tests, check.sh probe — no curl in the tree)
 // ---------------------------------------------------------------------------
 
-/// Issues `GET path` against `addr` and returns `(status, body)`, with
-/// chunked transfer-encoding decoded. Blocks until the server closes the
-/// connection (every response here is `Connection: close`).
+/// Issues `GET path` against `addr` and returns the status with a
+/// streaming [`Body`]. Every response here is `Connection: close`, so the
+/// body ends where the server closes the connection (or sends the
+/// terminal chunk).
 ///
 /// # Errors
 ///
-/// Propagates connect/read errors and malformed responses.
-pub fn get(addr: &str, path: &str) -> io::Result<(u16, Vec<u8>)> {
-    let mut stream = TcpStream::connect(addr)?;
+/// Propagates connect/write/read errors and malformed response heads.
+pub fn get(addr: &str, path: &str) -> io::Result<(u16, Body)> {
+    let stream = TcpStream::connect(addr)?;
     stream.set_read_timeout(Some(IO_TIMEOUT))?;
     stream.set_write_timeout(Some(IO_TIMEOUT))?;
     let request = format!("GET {path} HTTP/1.1\r\nHost: {addr}\r\nConnection: close\r\n\r\n");
-    stream.write_all(request.as_bytes())?;
-    let mut raw = Vec::new();
-    stream.read_to_end(&mut raw)?;
-    parse_response(&raw)
+    (&stream).write_all(request.as_bytes())?;
+    let mut inner = BufReader::new(stream);
+    let status_line = read_line(&mut inner)?;
+    let status: u16 = status_line
+        .split_whitespace()
+        .nth(1)
+        .and_then(|s| s.parse().ok())
+        .ok_or_else(|| bad_response("unparseable status line"))?;
+    let mut chunked = false;
+    loop {
+        let line = read_line(&mut inner)?.to_ascii_lowercase();
+        if line.is_empty() {
+            break;
+        }
+        chunked |= line.starts_with("transfer-encoding:") && line.contains("chunked");
+    }
+    let body = Body {
+        inner,
+        chunked,
+        chunk_left: 0,
+        after_chunk: false,
+        done: false,
+    };
+    Ok((status, body))
+}
+
+/// A [`get`] response body, read as it arrives. Chunked transfer-encoding
+/// is decoded on the fly, so a `/events?follow=1` body can be fed straight
+/// to a [`crate::stream::EventReader`].
+pub struct Body {
+    inner: BufReader<TcpStream>,
+    chunked: bool,
+    /// Bytes of the current chunk not yet read.
+    chunk_left: usize,
+    /// A chunk was started, so its trailing CRLF precedes the next size line.
+    after_chunk: bool,
+    /// The terminal chunk was seen.
+    done: bool,
+}
+
+impl Body {
+    /// Replaces the read timeout (the request default is 5 s). A
+    /// `?follow=1` body is quiet for as long as the run emits nothing, so
+    /// a follower clears it with `None`.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the socket option error.
+    pub fn set_read_timeout(&self, timeout: Option<Duration>) -> io::Result<()> {
+        self.inner.get_ref().set_read_timeout(timeout)
+    }
+
+    /// Reads the next chunk-size line (after the previous chunk's CRLF).
+    fn start_chunk(&mut self) -> io::Result<usize> {
+        if self.after_chunk && !read_line(&mut self.inner)?.is_empty() {
+            return Err(bad_response("chunk not followed by CRLF"));
+        }
+        self.after_chunk = true;
+        let size = read_line(&mut self.inner)?;
+        usize::from_str_radix(size.trim(), 16).map_err(|_| bad_response("unparseable chunk size"))
+    }
+}
+
+impl Read for Body {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        if !self.chunked {
+            return self.inner.read(buf);
+        }
+        if self.done || buf.is_empty() {
+            return Ok(0);
+        }
+        if self.chunk_left == 0 {
+            self.chunk_left = self.start_chunk()?;
+            if self.chunk_left == 0 {
+                self.done = true;
+                return Ok(0);
+            }
+        }
+        let want = buf.len().min(self.chunk_left);
+        let n = self.inner.read(&mut buf[..want])?;
+        if n == 0 {
+            return Err(bad_response("truncated chunk"));
+        }
+        self.chunk_left -= n;
+        Ok(n)
+    }
 }
 
 fn bad_response(what: &str) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, format!("bad response: {what}"))
 }
 
-fn parse_response(raw: &[u8]) -> io::Result<(u16, Vec<u8>)> {
-    let head_end = raw
-        .windows(4)
-        .position(|w| w == b"\r\n\r\n")
-        .ok_or_else(|| bad_response("missing head terminator"))?;
-    let head = String::from_utf8_lossy(&raw[..head_end]);
-    let mut lines = head.lines();
-    let status_line = lines.next().ok_or_else(|| bad_response("empty head"))?;
-    let status: u16 = status_line
-        .split_whitespace()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .ok_or_else(|| bad_response("unparseable status line"))?;
-    let chunked = lines.any(|l| {
-        let lower = l.to_ascii_lowercase();
-        lower.starts_with("transfer-encoding:") && lower.contains("chunked")
-    });
-    let body = &raw[head_end + 4..];
-    let body = if chunked {
-        decode_chunked(body)?
-    } else {
-        body.to_vec()
-    };
-    Ok((status, body))
-}
-
-/// Decodes a chunked transfer-encoded body.
-fn decode_chunked(mut body: &[u8]) -> io::Result<Vec<u8>> {
-    let mut out = Vec::new();
-    loop {
-        let line_end = body
-            .windows(2)
-            .position(|w| w == b"\r\n")
-            .ok_or_else(|| bad_response("missing chunk-size line"))?;
-        let size_str = String::from_utf8_lossy(&body[..line_end]);
-        let size = usize::from_str_radix(size_str.trim(), 16)
-            .map_err(|_| bad_response("unparseable chunk size"))?;
-        body = &body[line_end + 2..];
-        if size == 0 {
-            return Ok(out);
-        }
-        if body.len() < size + 2 {
-            return Err(bad_response("truncated chunk"));
-        }
-        out.extend_from_slice(&body[..size]);
-        body = &body[size + 2..];
+/// Reads one CRLF-terminated line (at most [`MAX_HEAD_BYTES`]) without
+/// its terminator.
+fn read_line(r: &mut BufReader<TcpStream>) -> io::Result<String> {
+    let mut line = Vec::new();
+    r.by_ref()
+        .take(MAX_HEAD_BYTES as u64)
+        .read_until(b'\n', &mut line)?;
+    if !line.ends_with(b"\r\n") {
+        return Err(bad_response("unterminated line"));
     }
+    line.truncate(line.len() - 2);
+    Ok(String::from_utf8_lossy(&line).into_owned())
 }
 
 #[cfg(test)]
@@ -690,12 +741,43 @@ mod tests {
         assert!(Request::parse("").is_none());
     }
 
+    /// `get` plus a full read of the body.
+    fn fetch(addr: &str, path: &str) -> io::Result<(u16, Vec<u8>)> {
+        let (status, mut body) = get(addr, path)?;
+        let mut bytes = Vec::new();
+        body.read_to_end(&mut bytes)?;
+        Ok((status, bytes))
+    }
+
+    /// Reads the body a one-shot loopback server answers with `raw`.
+    fn body_of(raw: Vec<u8>) -> io::Result<Vec<u8>> {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
+        let addr = listener.local_addr().expect("local addr").to_string();
+        let server = std::thread::spawn(move || {
+            let (mut sock, _) = listener.accept().expect("accept");
+            let _ = read_head(&mut sock);
+            sock.write_all(&raw).expect("write response");
+        });
+        let body = fetch(&addr, "/").map(|(_, body)| body);
+        server.join().expect("server joined");
+        body
+    }
+
     #[test]
     fn chunked_decoding_roundtrips() {
-        let body = decode_chunked(b"4\r\nwiki\r\n5\r\npedia\r\n0\r\n\r\n").expect("decodes");
+        let head = "HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n";
+        let ok = format!("{head}4\r\nwiki\r\n5\r\npedia\r\n0\r\n\r\n");
+        let body = body_of(ok.into_bytes()).expect("decodes");
         assert_eq!(body, b"wikipedia");
-        assert!(decode_chunked(b"zz\r\n").is_err());
-        assert!(decode_chunked(b"4\r\nwi").is_err());
+        for bad in ["zz\r\n", "4\r\nwi", "2\r\nwikipedia"] {
+            assert!(
+                body_of(format!("{head}{bad}").into_bytes()).is_err(),
+                "{bad:?}"
+            );
+        }
+        let plain =
+            body_of(b"HTTP/1.1 200 OK\r\nContent-Length: 4\r\n\r\nwiki".to_vec()).expect("plain");
+        assert_eq!(plain, b"wiki");
     }
 
     fn bind_test_server(options: ServerOptions) -> ObsServer {
@@ -704,22 +786,25 @@ mod tests {
 
     #[test]
     fn serves_all_five_endpoints_over_loopback() {
+        // The byte-identical /metrics check needs a registry no other test
+        // writes to meanwhile (the follow tests hold `events.clients` at 1).
+        let _guard = crate::test_lock();
         let server = bind_test_server(ServerOptions::default());
         let addr = server.addr().to_string();
-        let (status, body) = get(&addr, "/health").expect("health");
+        let (status, body) = fetch(&addr, "/health").expect("health");
         assert_eq!(status, 200);
         assert!(String::from_utf8_lossy(&body).contains("\"status\": \"ok\""));
-        let (status, a) = get(&addr, "/metrics").expect("metrics");
+        let (status, a) = fetch(&addr, "/metrics").expect("metrics");
         assert_eq!(status, 200);
-        let (_, b) = get(&addr, "/metrics").expect("metrics again");
+        let (_, b) = fetch(&addr, "/metrics").expect("metrics again");
         assert_eq!(a, b, "metrics must be byte-identical across scrapes");
-        let (status, body) = get(&addr, "/profile?clock=cycles").expect("profile");
+        let (status, body) = fetch(&addr, "/profile?clock=cycles").expect("profile");
         assert_eq!(status, 200);
         assert!(String::from_utf8_lossy(&body).contains("traceEvents"));
-        let (status, body) = get(&addr, "/progress").expect("progress");
+        let (status, body) = fetch(&addr, "/progress").expect("progress");
         assert_eq!(status, 200);
         assert!(String::from_utf8_lossy(&body).contains("\"runs\""));
-        let (status, body) = get(&addr, "/events").expect("events");
+        let (status, body) = fetch(&addr, "/events").expect("events");
         assert_eq!(status, 200);
         assert_eq!(
             &body[..8],
@@ -732,10 +817,10 @@ mod tests {
     fn unknown_paths_and_bad_clocks_are_refused() {
         let server = bind_test_server(ServerOptions::default());
         let addr = server.addr().to_string();
-        assert_eq!(get(&addr, "/nope").expect("404").0, 404);
-        assert_eq!(get(&addr, "/profile?clock=sundial").expect("400").0, 400);
+        assert_eq!(fetch(&addr, "/nope").expect("404").0, 404);
+        assert_eq!(fetch(&addr, "/profile?clock=sundial").expect("400").0, 400);
         // /quit is a 404 unless allow_quit is set.
-        assert_eq!(get(&addr, "/quit").expect("quit off").0, 404);
+        assert_eq!(fetch(&addr, "/quit").expect("quit off").0, 404);
     }
 
     #[test]
@@ -757,7 +842,7 @@ mod tests {
             ..ServerOptions::default()
         });
         let addr = server.addr().to_string();
-        assert_eq!(get(&addr, "/quit").expect("quit").0, 200);
+        assert_eq!(fetch(&addr, "/quit").expect("quit").0, 200);
         // Returns promptly because /quit already fired.
         server.wait_quit();
     }
@@ -766,12 +851,105 @@ mod tests {
     fn shutdown_is_idempotent_and_refuses_new_connections() {
         let mut server = bind_test_server(ServerOptions::default());
         let addr = server.addr().to_string();
-        assert_eq!(get(&addr, "/health").expect("health").0, 200);
+        assert_eq!(fetch(&addr, "/health").expect("health").0, 200);
         server.shutdown();
         server.shutdown();
         assert_eq!(server.active_connections(), 0);
         // The listener is gone: connects now fail or are reset.
-        assert!(get(&addr, "/health").is_err());
+        assert!(fetch(&addr, "/health").is_err());
+    }
+
+    /// Starts a `/events?follow=1` reader on its own thread and waits until
+    /// its tap is attached. The thread returns the decoded stream.
+    fn follower(
+        addr: &str,
+        timeout: Option<Duration>,
+    ) -> std::thread::JoinHandle<Vec<crate::stream::AttackEvent>> {
+        let (status, body) = get(addr, "/events?follow=1").expect("follow");
+        assert_eq!(status, 200);
+        body.set_read_timeout(timeout).expect("timeout");
+        while crate::global().snapshot().get("events.clients") != Some(1.0) {
+            thread::sleep(Duration::from_millis(1));
+        }
+        std::thread::spawn(move || crate::stream::read_stream(body).expect("stream decodes"))
+    }
+
+    fn start_streaming() {
+        crate::set_enabled(true);
+        crate::stream::set_enabled(true);
+        crate::stream::reset();
+    }
+
+    fn stop_streaming() {
+        crate::stream::reset();
+        crate::stream::set_enabled(false);
+        crate::set_enabled(false);
+        crate::global().reset();
+    }
+
+    #[test]
+    fn events_follow_round_trips_over_localhost() {
+        use crate::stream::{BoundarySignal, EventPayload};
+        let _guard = crate::test_lock();
+        start_streaming();
+        let mut server = bind_test_server(ServerOptions::default());
+        let reader = follower(&server.addr().to_string(), Some(IO_TIMEOUT));
+        crate::stream::start_run("accel.run");
+        crate::stream::emit_at(
+            9,
+            EventPayload::LayerBoundary {
+                index: 0,
+                signal: BoundarySignal::Raw,
+            },
+        );
+        thread::sleep(FOLLOW_POLL * 3);
+        server.shutdown();
+        let events = reader.join().expect("follower joined");
+        stop_streaming();
+        assert_eq!(events.len(), 2, "{events:?}");
+        assert!(matches!(events[0].payload, EventPayload::RunStarted { .. }));
+        assert_eq!(
+            events[1].payload,
+            EventPayload::LayerBoundary {
+                index: 0,
+                signal: BoundarySignal::Raw,
+            }
+        );
+        assert_eq!(events[1].cycle, 9);
+    }
+
+    #[test]
+    fn follow_sends_frames_emitted_right_before_shutdown() {
+        use crate::stream::EventPayload;
+        let _guard = crate::test_lock();
+        start_streaming();
+        let mut server = bind_test_server(ServerOptions::default());
+        let reader = follower(&server.addr().to_string(), Some(IO_TIMEOUT));
+        crate::stream::start_run("attack.structure");
+        crate::stream::emit(EventPayload::RunFinished { structures: 18 });
+        server.shutdown();
+        let events = reader.join().expect("follower joined");
+        stop_streaming();
+        assert_eq!(
+            events.last().map(|e| &e.payload),
+            Some(&EventPayload::RunFinished { structures: 18 }),
+            "the tail was lost at shutdown: {events:?}"
+        );
+    }
+
+    #[test]
+    fn quiet_follow_outlives_the_io_timeout() {
+        use crate::stream::EventPayload;
+        let _guard = crate::test_lock();
+        start_streaming();
+        let mut server = bind_test_server(ServerOptions::default());
+        let reader = follower(&server.addr().to_string(), None);
+        thread::sleep(IO_TIMEOUT + Duration::from_millis(500));
+        crate::stream::emit(EventPayload::RunFinished { structures: 1 });
+        server.shutdown();
+        let events = reader.join().expect("follower joined");
+        stop_streaming();
+        assert_eq!(events.len(), 1, "{events:?}");
     }
 }
 

@@ -56,7 +56,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod bench;
 pub mod catalog;
 pub mod export;
 pub mod http;

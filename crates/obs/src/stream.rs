@@ -4,8 +4,8 @@
 //! The pipeline emits incremental **attack events** — a trace segment was
 //! classified, a layer boundary was found, the candidate set narrowed, a
 //! weight was recovered — onto a global hub. Sinks consume the encoded
-//! stream either live (over localhost TCP, `cnnre … --events-tcp` paired
-//! with `cnnre-viz --listen`) or from a recorded `.evt` file
+//! stream either live (HTTP `/events?follow=1` on a `--serve-obs` server,
+//! followed by `cnnre-viz --follow`) or from a recorded `.evt` file
 //! (`--events-out`, replayed with `cnnre-viz --replay`). The same protocol
 //! doubles as the job-status stream for a future attack service, so it is
 //! versioned and forward-compatible from day one.
@@ -32,19 +32,18 @@
 //!
 //! # Backpressure
 //!
-//! Emission never stalls the solver: the recording buffer is a bounded
-//! ring with drop-newest overflow, and every live TCP client has a bounded
-//! queue drained by a dedicated writer thread — a slow or disconnected
-//! client loses events (counted in `events.dropped`), it never blocks the
-//! emitting thread on a socket write.
+//! Emission never stalls the solver and never touches a socket. The hub
+//! has two consumers behind one mutex: the recording buffer and one
+//! bounded queue per live tap (an HTTP follower). Both drop the newest
+//! frame on overflow, counted in `events.dropped`. The HTTP server drains
+//! each tap from its own connection job, so a slow or disconnected
+//! follower loses events; it never blocks the emitting thread.
 
 use std::cell::Cell;
-use std::collections::VecDeque;
-use std::io::{self, Read, Write};
-use std::net::TcpStream;
+use std::io::{self, Read};
 
 use cnnre_model::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use cnnre_model::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
+use cnnre_model::sync::{Mutex, MutexGuard, PoisonError};
 
 /// First bytes of every event stream.
 pub const MAGIC: &[u8; 8] = b"CNNREEVT";
@@ -57,8 +56,8 @@ pub const VERSION: u8 = 1;
 /// the newest events and counts them in `events.dropped`.
 pub const RECORD_CAPACITY: usize = 1 << 16;
 
-/// Per-client queue capacity (frames) for live TCP sinks. Overflow drops
-/// the newest events for that client only.
+/// Per-tap queue capacity (frames) for live followers. Overflow drops the
+/// newest events for that follower only.
 pub const CLIENT_QUEUE_CAPACITY: usize = 1024;
 
 /// Upper bound a reader accepts for one frame body — a sanity cap against
@@ -635,7 +634,7 @@ pub fn decode_frame_body(body: &[u8]) -> Result<AttackEvent, StreamError> {
 }
 
 /// Incremental frame reader over any [`Read`] — a recorded `.evt` file or
-/// a live TCP socket.
+/// a live `/events?follow=1` response body.
 pub struct EventReader<R> {
     inner: R,
     header_read: bool,
@@ -766,45 +765,105 @@ pub fn suppress() -> SuppressGuard {
     SuppressGuard { _priv: () }
 }
 
-struct Client {
-    queue: Mutex<VecDeque<Vec<u8>>>,
-    ready: Condvar,
-    closed: AtomicBool,
-}
-
-impl Client {
-    fn new() -> Self {
-        Self {
-            queue: Mutex::new(VecDeque::with_capacity(64)),
-            ready: Condvar::new(),
-            closed: AtomicBool::new(false),
-        }
-    }
-}
-
+/// Stamps and encodes events, then hands each frame to the recording
+/// buffer and every live tap. Both consumers sit behind one mutex, so a
+/// follower's replay snapshot and its tap are taken atomically
+/// ([`Hub::follow`]).
 struct Hub {
     seq: AtomicU64,
     cycle: AtomicU64,
     recording: AtomicBool,
     dropped: AtomicU64,
-    buffer: Mutex<VecDeque<Vec<u8>>>,
-    clients: Mutex<Vec<Arc<Client>>>,
+    sinks: Mutex<Sinks>,
 }
 
-fn hub() -> &'static Hub {
-    static HUB: OnceLock<Hub> = OnceLock::new();
-    HUB.get_or_init(|| Hub {
-        seq: AtomicU64::new(0),
-        cycle: AtomicU64::new(0),
-        recording: AtomicBool::new(false),
-        dropped: AtomicU64::new(0),
-        buffer: Mutex::new(VecDeque::new()),
-        clients: Mutex::new(Vec::new()),
-    })
+/// The hub's frame consumers, guarded together.
+struct Sinks {
+    /// Recorded frames, oldest first (`--events-out`, `/events` replay).
+    buffer: Vec<Vec<u8>>,
+    /// Queued frames of each live tap, keyed by tap id.
+    taps: Vec<(u64, Vec<Vec<u8>>)>,
+    /// Id of the next tap.
+    next_tap: u64,
 }
+
+static HUB: Hub = Hub::new();
 
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// The complete stream (header + frames) over `frames`.
+fn stream_bytes(frames: &[Vec<u8>]) -> Vec<u8> {
+    let mut out = header();
+    for f in frames {
+        out.extend_from_slice(f);
+    }
+    out
+}
+
+impl Hub {
+    const fn new() -> Self {
+        Self {
+            seq: AtomicU64::new(0),
+            cycle: AtomicU64::new(0),
+            recording: AtomicBool::new(false),
+            dropped: AtomicU64::new(0),
+            sinks: Mutex::new(Sinks {
+                buffer: Vec::new(),
+                taps: Vec::new(),
+                next_tap: 0,
+            }),
+        }
+    }
+
+    fn emit(&self, cycle: u64, payload: EventPayload) {
+        let seq = self.seq.fetch_add(1, Ordering::Relaxed);
+        let frame = encode_frame(&AttackEvent {
+            seq,
+            cycle,
+            payload,
+        });
+        crate::counter("events.emitted").inc();
+        crate::counter("events.bytes").add(frame.len() as u64);
+        let mut dropped = 0;
+        {
+            let mut sinks = lock(&self.sinks);
+            for (_, queue) in &mut sinks.taps {
+                if queue.len() < CLIENT_QUEUE_CAPACITY {
+                    queue.push(frame.clone());
+                } else {
+                    dropped += 1;
+                }
+            }
+            // lint:allow(cr-relaxed-control): recording toggle — a stale read
+            // can only include/skip one frame at the toggle boundary, which
+            // set_record callers cannot observe anyway
+            if self.recording.load(Ordering::Relaxed) {
+                if sinks.buffer.len() < RECORD_CAPACITY {
+                    sinks.buffer.push(frame);
+                } else {
+                    dropped += 1;
+                }
+            }
+        }
+        if dropped > 0 {
+            self.dropped.fetch_add(dropped, Ordering::Relaxed);
+            crate::counter("events.dropped").add(dropped);
+        }
+    }
+
+    /// Snapshots the recording buffer and attaches a tap under one lock:
+    /// every frame lands in exactly one of the two.
+    fn follow(&self) -> (Vec<u8>, LiveTap<'_>) {
+        let mut sinks = lock(&self.sinks);
+        let replay = stream_bytes(&sinks.buffer);
+        let id = sinks.next_tap;
+        sinks.next_tap += 1;
+        sinks.taps.push((id, Vec::new()));
+        crate::gauge("events.clients").set(sinks.taps.len() as f64);
+        (replay, LiveTap { hub: self, id })
+    }
 }
 
 /// Turns the event stream on or off. Off (the default) makes every
@@ -830,8 +889,8 @@ pub fn start_run(label: &str) {
     if !active() {
         return;
     }
-    hub().cycle.store(0, Ordering::Relaxed);
-    emit_event(
+    HUB.cycle.store(0, Ordering::Relaxed);
+    HUB.emit(
         0,
         EventPayload::RunStarted {
             label: label.to_string(),
@@ -842,14 +901,14 @@ pub fn start_run(label: &str) {
 /// Advances the monotone cycle cursor to at least `cycle`.
 pub fn advance_cycle(cycle: u64) {
     if enabled() {
-        hub().cycle.fetch_max(cycle, Ordering::Relaxed);
+        HUB.cycle.fetch_max(cycle, Ordering::Relaxed);
     }
 }
 
 /// Emits an event at the current cycle cursor.
 pub fn emit(payload: EventPayload) {
     if active() {
-        emit_event(hub().cycle.load(Ordering::Relaxed), payload);
+        HUB.emit(HUB.cycle.load(Ordering::Relaxed), payload);
     }
 }
 
@@ -858,261 +917,93 @@ pub fn emit(payload: EventPayload) {
 /// a run even if an emitter passes a stale cycle.
 pub fn emit_at(cycle: u64, payload: EventPayload) {
     if active() {
-        let prev = hub().cycle.fetch_max(cycle, Ordering::Relaxed);
-        emit_event(prev.max(cycle), payload);
-    }
-}
-
-fn emit_event(cycle: u64, payload: EventPayload) {
-    let h = hub();
-    let seq = h.seq.fetch_add(1, Ordering::Relaxed);
-    let frame = encode_frame(&AttackEvent {
-        seq,
-        cycle,
-        payload,
-    });
-    crate::counter("events.emitted").inc();
-    crate::counter("events.bytes").add(frame.len() as u64);
-    // lint:allow(cr-relaxed-control): recording toggle — a stale read can
-    // only include/skip one frame at the toggle boundary, which set_record
-    // callers cannot observe anyway
-    if h.recording.load(Ordering::Relaxed) {
-        let mut buf = lock(&h.buffer);
-        if buf.len() < RECORD_CAPACITY {
-            buf.push_back(frame.clone());
-        } else {
-            h.dropped.fetch_add(1, Ordering::Relaxed);
-            crate::counter("events.dropped").inc();
-        }
-    }
-    let mut clients = lock(&h.clients);
-    // Acquire pairs with the Release store that closes a client (writer
-    // write-failure or `reset`): once closed is observed here the writer is
-    // done with its queue, so pruning may drop the last `Arc` reference.
-    // lint:allow(cr-relaxed-control): taint over-approximation — the lexer's
-    // statement slicing glues the recording branch above into this slice, so
-    // its Relaxed toggle load taints `clients`; the condition itself only
-    // reads `closed` with Acquire
-    if clients.iter().any(|c| c.closed.load(Ordering::Acquire)) {
-        clients.retain(|c| !c.closed.load(Ordering::Acquire)); // Acquire: see above
-        crate::gauge("events.clients").set(clients.len() as f64);
-    }
-    for client in clients.iter() {
-        let mut queue = lock(&client.queue);
-        if queue.len() < CLIENT_QUEUE_CAPACITY {
-            queue.push_back(frame.clone());
-            client.ready.notify_one();
-        } else {
-            drop(queue);
-            h.dropped.fetch_add(1, Ordering::Relaxed);
-            crate::counter("events.dropped").inc();
-        }
+        let prev = HUB.cycle.fetch_max(cycle, Ordering::Relaxed);
+        HUB.emit(prev.max(cycle), payload);
     }
 }
 
 /// Turns in-process recording (for `--events-out`) on or off.
 pub fn set_record(on: bool) {
-    hub().recording.store(on, Ordering::Relaxed);
+    HUB.recording.store(on, Ordering::Relaxed);
 }
 
 /// Events dropped so far by backpressure (recording overflow or a slow
-/// client), process-wide.
+/// follower), process-wide.
 #[must_use]
 pub fn dropped() -> u64 {
-    hub().dropped.load(Ordering::Relaxed)
+    HUB.dropped.load(Ordering::Relaxed)
 }
 
 /// Number of recorded frames currently buffered.
 #[must_use]
 pub fn recorded_len() -> usize {
-    lock(&hub().buffer).len()
+    lock(&HUB.sinks).buffer.len()
 }
 
-/// Drains the recording buffer into a complete stream (header + frames),
-/// ready to be written as a `.evt` file.
+/// Drains the recording buffer into a complete stream (header + frames).
 #[must_use]
 pub fn take_recorded_bytes() -> Vec<u8> {
-    let frames: Vec<Vec<u8>> = lock(&hub().buffer).drain(..).collect();
-    let mut out = header();
-    for f in &frames {
-        out.extend_from_slice(f);
-    }
-    out
+    let frames = std::mem::take(&mut lock(&HUB.sinks).buffer);
+    stream_bytes(&frames)
 }
 
 /// A complete stream (header + every recorded frame) cloned from the
-/// recording buffer **without draining** — the HTTP `/events` replay
-/// view. `--events-out` still sees every frame at process exit.
+/// recording buffer **without draining** — what `--events-out` writes
+/// and what `/events` replays, so a held server still serves the whole
+/// run after the file is written.
 #[must_use]
 pub fn recorded_stream_snapshot() -> Vec<u8> {
-    let buf = lock(&hub().buffer);
-    let mut out = header();
-    for f in buf.iter() {
-        out.extend_from_slice(f);
-    }
-    out
+    stream_bytes(&lock(&HUB.sinks).buffer)
 }
 
-/// Drops every closed client and refreshes the `events.clients` gauge.
-/// Called from a writer thread's failure exit and from [`LiveTap`] detach,
-/// so a mid-run disconnect is reflected immediately instead of at the next
-/// emit (the emit path additionally prunes inline under its own lock).
-fn prune_closed() {
-    let mut clients = lock(&hub().clients);
-    // Acquire pairs with the Release store that closed the client; see
-    // the emit-path prune for the full protocol note.
-    clients.retain(|c| !c.closed.load(Ordering::Acquire));
-    crate::gauge("events.clients").set(clients.len() as f64);
+/// Attaches a follower: returns the recorded stream so far and a
+/// [`LiveTap`] that queues every later frame. Both are taken under the
+/// hub lock, so a frame emitted concurrently is in exactly one of them.
+/// Backs `/events?follow=1`.
+pub(crate) fn follow() -> (Vec<u8>, LiveTap<'static>) {
+    HUB.follow()
 }
 
-/// A live tap on the hub for the HTTP `/events?follow=1` bridge: frames
-/// emitted after attach land in a bounded per-tap queue, drained by
-/// [`LiveTap::take_queued`] from the serving thread. Dropping the tap
-/// disconnects it and immediately updates `events.clients`.
-pub(crate) struct LiveTap {
-    client: Arc<Client>,
+/// A live follower's queue on the hub: frames emitted after attach land
+/// in a bounded per-tap queue (drop-newest past
+/// [`CLIENT_QUEUE_CAPACITY`]), drained by [`LiveTap::take_queued`].
+/// Dropping the tap detaches it and updates `events.clients`.
+pub(crate) struct LiveTap<'h> {
+    hub: &'h Hub,
+    id: u64,
 }
 
-impl LiveTap {
-    /// Registers a new tap on the hub.
-    pub(crate) fn attach() -> Self {
-        let client = Arc::new(Client::new());
-        register_client(Arc::clone(&client));
-        LiveTap { client }
-    }
-
+impl LiveTap<'_> {
     /// Drains every frame currently queued, without blocking.
     pub(crate) fn take_queued(&self) -> Vec<Vec<u8>> {
-        lock(&self.client.queue).drain(..).collect()
+        let mut sinks = lock(&self.hub.sinks);
+        sinks
+            .taps
+            .iter_mut()
+            .find(|(id, _)| *id == self.id)
+            .map(|(_, queue)| std::mem::take(queue))
+            .unwrap_or_default()
     }
 }
 
-impl Drop for LiveTap {
+impl Drop for LiveTap<'_> {
     fn drop(&mut self) {
-        {
-            // Close under the queue mutex — the same lost-wakeup-safe
-            // protocol as `reset`. Lock order is respected: this scope
-            // holds only `client.queue`, and `prune_closed` below holds
-            // only `clients`; the two are never nested.
-            let _queue = lock(&self.client.queue);
-            // Release pairs with the Acquire prune loads.
-            self.client.closed.store(true, Ordering::Release);
-            self.client.ready.notify_all();
-        }
-        prune_closed();
-    }
-}
-
-fn register_client(client: Arc<Client>) {
-    let mut clients = lock(&hub().clients);
-    clients.push(client);
-    crate::gauge("events.clients").set(clients.len() as f64);
-}
-
-fn writer_loop<W: Write>(client: &Client, sink: &mut W) {
-    loop {
-        let frame = {
-            let mut queue = lock(&client.queue);
-            loop {
-                if let Some(f) = queue.pop_front() {
-                    break f;
-                }
-                // Acquire pairs with the Release store in `reset`: observing
-                // closed under the queue mutex means no further frame will be
-                // queued, so exiting here cannot strand one (pop runs first).
-                if client.closed.load(Ordering::Acquire) {
-                    return;
-                }
-                queue = client
-                    .ready
-                    .wait(queue)
-                    .unwrap_or_else(PoisonError::into_inner);
-            }
-        };
-        if sink.write_all(&frame).is_err() {
-            // Release publishes the write failure to the Acquire `closed`
-            // loads on the emit-path prune and in `flush`.
-            client.closed.store(true, Ordering::Release);
-            // Prune now so `events.clients` reflects the disconnect
-            // immediately, not only at the next emit.
-            prune_closed();
-            return;
-        }
-    }
-}
-
-/// Connects a live TCP sink (e.g. a `cnnre-viz --listen` session): writes
-/// the stream header and registers a client whose bounded queue is drained
-/// by a dedicated writer thread — socket writes never run on the emitting
-/// thread.
-///
-/// # Errors
-///
-/// Returns the connect/handshake error; emission is unaffected by a
-/// failed connect.
-pub fn connect(addr: &str) -> io::Result<()> {
-    let mut stream = TcpStream::connect(addr)?;
-    stream.write_all(&header())?;
-    let client = Arc::new(Client::new());
-    register_client(Arc::clone(&client));
-    cnnre_model::thread::Builder::new()
-        .name("cnnre-events".to_string())
-        .spawn(move || {
-            let mut stream = stream;
-            writer_loop(&client, &mut stream);
-        })?;
-    Ok(())
-}
-
-/// Waits up to `max_wait_ms` milliseconds for all live client queues to
-/// drain (a best-effort flush before process exit). Returns immediately
-/// when there are no clients.
-pub fn flush(max_wait_ms: u64) {
-    for _ in 0..max_wait_ms {
-        let drained = {
-            let clients = lock(&hub().clients);
-            clients
-                .iter()
-                // lint:allow(cr-lock-order): documented order `clients` →
-                // `client.queue`, same as emit_event; no path acquires them
-                // in reverse, so the nesting cannot deadlock
-                // (Acquire on `closed`: pairs with the writer's Release.)
-                .all(|c| c.closed.load(Ordering::Acquire) || lock(&c.queue).is_empty())
-        };
-        if drained {
-            return;
-        }
-        cnnre_model::thread::sleep(std::time::Duration::from_millis(1));
+        let mut sinks = lock(&self.hub.sinks);
+        sinks.taps.retain(|(id, _)| *id != self.id);
+        crate::gauge("events.clients").set(sinks.taps.len() as f64);
     }
 }
 
 /// Resets the hub: sequence and cycle counters to 0, recording buffer and
-/// drop counter cleared, all live clients disconnected. Tests and golden
+/// drop counter cleared, all live taps detached. Tests and golden
 /// recorders call this for deterministic streams.
 pub fn reset() {
-    let h = hub();
-    h.seq.store(0, Ordering::Relaxed);
-    h.cycle.store(0, Ordering::Relaxed);
-    h.dropped.store(0, Ordering::Relaxed);
-    lock(&h.buffer).clear();
-    let mut clients = lock(&h.clients);
-    for c in clients.iter() {
-        // The store and notify run under the queue mutex: a writer that
-        // saw `closed` clear did so holding this mutex, so it is either
-        // already in `wait` (the notify wakes it) or will re-check after
-        // we release. An unlocked notify can land between its check and
-        // its wait and be lost forever — the model checker flags that
-        // protocol as an MC002 deadlock.
-        // lint:allow(cr-lock-order): documented order `clients` →
-        // `client.queue`, same as emit_event and flush; no path acquires
-        // them in reverse, so the nesting cannot deadlock
-        let _queue = lock(&c.queue);
-        // Release pairs with the writer's Acquire exit check: everything
-        // queued before this disconnect is visible to its final drain.
-        c.closed.store(true, Ordering::Release);
-        c.ready.notify_all();
-    }
-    clients.clear();
+    HUB.seq.store(0, Ordering::Relaxed);
+    HUB.cycle.store(0, Ordering::Relaxed);
+    HUB.dropped.store(0, Ordering::Relaxed);
+    let mut sinks = lock(&HUB.sinks);
+    sinks.buffer.clear();
+    sinks.taps.clear();
     crate::gauge("events.clients").set(0.0);
 }
 
@@ -1376,88 +1267,22 @@ mod tests {
         crate::set_enabled(true);
         set_enabled(true);
         reset();
-        // A client with no writer thread models a stalled socket: its
-        // queue fills to capacity and every further event is dropped.
-        let client = Arc::new(Client::new());
-        register_client(Arc::clone(&client));
+        // An undrained tap models a stalled follower: its queue fills to
+        // capacity and every further event is dropped for it alone.
+        let (_, tap) = follow();
         let before = dropped();
         for i in 0..(CLIENT_QUEUE_CAPACITY + 100) {
             emit(EventPayload::RunFinished {
                 structures: i as u64,
             });
         }
-        assert_eq!(lock(&client.queue).len(), CLIENT_QUEUE_CAPACITY);
+        assert_eq!(tap.take_queued().len(), CLIENT_QUEUE_CAPACITY);
         assert_eq!(dropped() - before, 100);
+        drop(tap);
         reset();
         set_enabled(false);
         crate::set_enabled(false);
         crate::global().reset();
-    }
-
-    #[test]
-    fn tcp_sink_round_trips_over_localhost() {
-        let _guard = crate::test_lock();
-        let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind loopback");
-        let addr = listener.local_addr().expect("local addr").to_string();
-        crate::set_enabled(true);
-        set_enabled(true);
-        reset();
-        connect(&addr).expect("connect to own listener");
-        start_run("accel.run");
-        emit_at(
-            9,
-            EventPayload::LayerBoundary {
-                index: 0,
-                signal: BoundarySignal::Raw,
-            },
-        );
-        flush(1000);
-        reset(); // closes the client; the writer thread exits
-        set_enabled(false);
-        crate::set_enabled(false);
-        crate::global().reset();
-        let (sock, _) = listener.accept().expect("accept");
-        sock.set_read_timeout(Some(std::time::Duration::from_secs(5)))
-            .expect("timeout");
-        let mut reader = EventReader::new(sock);
-        let first = reader.next_event().expect("frame").expect("event");
-        assert!(matches!(first.payload, EventPayload::RunStarted { .. }));
-        let second = reader.next_event().expect("frame").expect("event");
-        assert_eq!(
-            second.payload,
-            EventPayload::LayerBoundary {
-                index: 0,
-                signal: BoundarySignal::Raw,
-            }
-        );
-        assert_eq!(second.cycle, 9);
-    }
-
-    #[test]
-    fn writer_failure_decrements_clients_gauge_without_an_emit() {
-        let _guard = crate::test_lock();
-        crate::set_enabled(true);
-        reset();
-        let client = Arc::new(Client::new());
-        register_client(Arc::clone(&client));
-        assert_eq!(crate::global().snapshot().get("events.clients"), Some(1.0));
-        lock(&client.queue).push_back(vec![1, 2, 3]);
-        struct FailSink;
-        impl Write for FailSink {
-            fn write(&mut self, _buf: &[u8]) -> io::Result<usize> {
-                Err(io::Error::new(io::ErrorKind::BrokenPipe, "peer gone"))
-            }
-            fn flush(&mut self) -> io::Result<()> {
-                Ok(())
-            }
-        }
-        // The writer hits the broken sink, closes the client, and prunes —
-        // no subsequent emit is needed for the gauge to drop.
-        writer_loop(&client, &mut FailSink);
-        assert_eq!(crate::global().snapshot().get("events.clients"), Some(0.0));
-        crate::set_enabled(false);
-        crate::global().reset();
-        reset();
     }
 
     #[test]
@@ -1465,10 +1290,11 @@ mod tests {
         let _guard = crate::test_lock();
         crate::set_enabled(true);
         reset();
-        register_client(Arc::new(Client::new()));
+        let (_, tap) = follow();
         assert_eq!(crate::global().snapshot().get("events.clients"), Some(1.0));
         reset();
         assert_eq!(crate::global().snapshot().get("events.clients"), Some(0.0));
+        drop(tap);
         crate::set_enabled(false);
         crate::global().reset();
     }
@@ -1502,7 +1328,8 @@ mod tests {
         crate::set_enabled(true);
         set_enabled(true);
         reset();
-        let tap = LiveTap::attach();
+        let (replay, tap) = follow();
+        assert_eq!(replay, header(), "nothing recorded yet");
         assert_eq!(crate::global().snapshot().get("events.clients"), Some(1.0));
         emit(EventPayload::RunFinished { structures: 7 });
         let frames = tap.take_queued();
@@ -1524,41 +1351,43 @@ mod tests {
 #[cfg(all(test, feature = "model-check"))]
 mod model_tests {
     use super::*;
+    use cnnre_model::sync::Arc;
     use cnnre_model::{check, thread};
 
-    /// The producer→writer queue handoff on a fresh client: frames pushed
-    /// before the close are all delivered to the sink under every schedule
-    /// — `writer_loop` pops before it checks `closed`, so a disconnect
-    /// can never strand a queued frame.
+    /// A follower attaching mid-run races an emitter: under every
+    /// schedule the replay snapshot plus the tap's queue carry every frame
+    /// exactly once and in order — `follow` takes both under the hub
+    /// lock, so no frame can fall between the snapshot and the attach.
     #[test]
-    fn client_handoff_delivers_queued_frames_before_close() {
+    fn follow_racing_an_emitter_sees_contiguous_seqs() {
+        // Held across the exploration: the hub sets the global
+        // `events.clients` gauge other tests assert on.
+        let _guard = crate::test_lock();
         let stats = check(|| {
-            let client = Arc::new(Client::new());
-            let c2 = Arc::clone(&client);
-            let writer = thread::spawn(move || {
-                let mut sink = Vec::new();
-                writer_loop(&c2, &mut sink);
-                sink
+            let hub = Arc::new(Hub::new());
+            hub.recording.store(true, Ordering::Relaxed);
+            let emitter_hub = Arc::clone(&hub);
+            let emitter = thread::spawn(move || {
+                for structures in 0..3 {
+                    emitter_hub.emit(0, EventPayload::RunFinished { structures });
+                }
             });
-            for frame in [vec![1u8, 2], vec![3u8]] {
-                let mut queue = lock(&client.queue);
-                queue.push_back(frame);
-                client.ready.notify_one();
+            let (mut bytes, tap) = hub.follow();
+            emitter.join().expect("emitter joined");
+            for frame in tap.take_queued() {
+                bytes.extend_from_slice(&frame);
             }
-            // Same close protocol as `reset`: store and notify under the
-            // queue mutex so the wakeup cannot fall into the writer's
-            // check-then-wait window.
-            {
-                let _queue = lock(&client.queue);
-                client.closed.store(true, Ordering::Release);
-                client.ready.notify_all();
-            }
-            let sink = writer.join().expect("writer joined");
-            assert_eq!(sink, vec![1, 2, 3], "a queued frame was stranded");
+            drop(tap);
+            let seqs: Vec<u64> = read_stream(bytes.as_slice())
+                .expect("follower stream decodes")
+                .iter()
+                .map(|e| e.seq)
+                .collect();
+            assert_eq!(seqs, vec![0, 1, 2], "a frame was lost or duplicated");
         });
         assert!(
             stats.executions > 1,
-            "the handoff must explore several schedules"
+            "the follow race must explore several schedules"
         );
     }
 }

@@ -14,7 +14,7 @@
 //! Everything is integer arithmetic over the wire-format values, so the
 //! same `.evt` file always renders byte-identical output (the golden
 //! replay test pins this). The binary (`src/main.rs`) adds the I/O shell:
-//! `--replay <file>` and `--listen <addr>`.
+//! `--replay <file>` and `--follow <addr>`.
 
 pub mod dot;
 pub mod replay;

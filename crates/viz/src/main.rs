@@ -2,16 +2,17 @@
 //!
 //! ```text
 //! cnnre-viz --replay <file.evt>  [--out-dir DIR] [--snapshots] [--metrics FILE]
-//! cnnre-viz --listen <addr>      [--out-dir DIR] [--snapshots] [--metrics FILE]
+//! cnnre-viz --follow <addr>      [--out-dir DIR] [--snapshots] [--metrics FILE]
 //! ```
 //!
-//! `--replay` decodes a recorded event file; `--listen` binds a TCP
-//! listener, accepts one producer connection (`cnnre … --events-tcp`), and
-//! consumes events until the producer disconnects. Either way the final
-//! state is rendered into `<out-dir>/graph.dot`, `graph.svg`, and
-//! `timeline.svg`; with `--snapshots`, an incremental `graph_NNN.dot` is
-//! written every time a recovered-graph event confirms a new layer, so the
-//! directory shows the network growing as the attack converges.
+//! `--replay` decodes a recorded event file; `--follow` connects to a
+//! `--serve-obs` server, reads `GET /events?follow=1` (the run recorded so
+//! far, then live frames), and consumes events until the server shuts
+//! down. Either way the final state is rendered into
+//! `<out-dir>/graph.dot`, `graph.svg`, and `timeline.svg`; with
+//! `--snapshots`, an incremental `graph_NNN.dot` is written every time a
+//! recovered-graph event confirms a new layer, so the directory shows the
+//! network growing as the attack converges.
 //!
 //! Exit codes: 0 success, 1 stream/render failure, 2 usage error.
 
@@ -23,7 +24,7 @@ use std::process::ExitCode;
 
 struct Opts {
     replay: Option<PathBuf>,
-    listen: Option<String>,
+    follow: Option<String>,
     out_dir: PathBuf,
     snapshots: bool,
     metrics: Option<PathBuf>,
@@ -31,9 +32,9 @@ struct Opts {
 
 const USAGE: &str = "usage:\n  \
     cnnre-viz --replay <file.evt> [--out-dir DIR] [--snapshots] [--metrics FILE]\n  \
-    cnnre-viz --listen <addr>     [--out-dir DIR] [--snapshots] [--metrics FILE]\n\n\
+    cnnre-viz --follow <addr>     [--out-dir DIR] [--snapshots] [--metrics FILE]\n\n\
     --replay <file>   render a recorded event stream\n  \
-    --listen <addr>   accept one live producer (cnnre ... --events-tcp <addr>)\n  \
+    --follow <addr>   follow a live run's events (cnnre ... --serve-obs <addr>)\n  \
     --out-dir <dir>   output directory (default: viz_out)\n  \
     --snapshots       write incremental graph_NNN.dot per confirmed layer\n  \
     --metrics <file>  write a viz.* metrics snapshot (JSON)";
@@ -41,7 +42,7 @@ const USAGE: &str = "usage:\n  \
 fn parse_args(args: &[String]) -> Result<Opts, String> {
     let mut opts = Opts {
         replay: None,
-        listen: None,
+        follow: None,
         out_dir: PathBuf::from("viz_out"),
         snapshots: false,
         metrics: None,
@@ -53,9 +54,9 @@ fn parse_args(args: &[String]) -> Result<Opts, String> {
                 let v = it.next().ok_or("--replay needs a file argument")?;
                 opts.replay = Some(PathBuf::from(v));
             }
-            "--listen" => {
-                let v = it.next().ok_or("--listen needs an address argument")?;
-                opts.listen = Some(v.clone());
+            "--follow" => {
+                let v = it.next().ok_or("--follow needs an address argument")?;
+                opts.follow = Some(v.clone());
             }
             "--out-dir" => {
                 let v = it.next().ok_or("--out-dir needs a directory argument")?;
@@ -70,9 +71,9 @@ fn parse_args(args: &[String]) -> Result<Opts, String> {
             other => return Err(format!("unknown argument: {other}")),
         }
     }
-    match (&opts.replay, &opts.listen) {
-        (Some(_), Some(_)) => Err("--replay and --listen are mutually exclusive".to_string()),
-        (None, None) => Err("one of --replay or --listen is required".to_string()),
+    match (&opts.replay, &opts.follow) {
+        (Some(_), Some(_)) => Err("--replay and --follow are mutually exclusive".to_string()),
+        (None, None) => Err("one of --replay or --follow is required".to_string()),
         _ => Ok(opts),
     }
 }
@@ -131,20 +132,18 @@ fn run(opts: &Opts) -> Result<(), String> {
             &consumed,
             &snapshots_written,
         )?
-    } else if let Some(addr) = &opts.listen {
-        let listener =
-            std::net::TcpListener::bind(addr).map_err(|e| format!("bind {addr}: {e}"))?;
-        eprintln!("cnnre-viz: listening on {addr}, waiting for a producer…");
-        let (sock, peer) = listener
-            .accept()
-            .map_err(|e| format!("accept on {addr}: {e}"))?;
-        eprintln!("cnnre-viz: producer connected from {peer}");
-        consume(
-            std::io::BufReader::new(sock),
-            opts,
-            &consumed,
-            &snapshots_written,
-        )?
+    } else if let Some(addr) = &opts.follow {
+        let (status, body) = cnnre_obs::http::get(addr, "/events?follow=1")
+            .map_err(|e| format!("follow {addr}: {e}"))?;
+        if status != 200 {
+            return Err(format!("follow {addr}: status {status}"));
+        }
+        // A run can be quiet for longer than the request timeout; the
+        // stream ends when the server shuts down.
+        body.set_read_timeout(None)
+            .map_err(|e| format!("follow {addr}: {e}"))?;
+        eprintln!("cnnre-viz: following http://{addr}/events");
+        consume(body, opts, &consumed, &snapshots_written)?
     } else {
         unreachable!("parse_args guarantees a mode")
     };

@@ -52,28 +52,42 @@ echo "==> tier-1: cargo build --release && cargo test -q"
 cargo build --release
 cargo test -q
 
-echo "==> live obs plane (serve-obs on loopback, scrape all endpoints, diff vs JSON export)"
+echo "==> live obs plane (serve-obs on loopback, scrape all endpoints, diff vs JSON export, follow vs replay)"
 # Start a real experiment with the embedded scrape server on an
-# ephemeral port, learn the address from CNNRE_OBS_ADDR_FILE, probe all
-# five endpoints with the in-tree client (no curl), cross-check
-# /metrics against the end-of-run JSON export, and release the hold.
+# ephemeral port, learn the address from CNNRE_OBS_ADDR_FILE, follow its
+# /events stream with cnnre-viz, probe all five endpoints with the
+# in-tree client (no curl), cross-check /metrics against the end-of-run
+# JSON export, release the hold, and check that the live follower
+# rendered exactly what a replay of the run's .evt file renders.
 OBS_TMP="$(mktemp -d)"
 trap 'rm -rf "$VIZ_TMP" "$OBS_TMP"' EXIT
-rm -f "$OBS_TMP/addr" "$OBS_TMP/BENCH_table3.json"
 CNNRE_QUICK=1 CNNRE_OBS_ADDR_FILE="$OBS_TMP/addr" \
     ./target/release/table3 --threads 2 --serve-obs 127.0.0.1:0 \
-    --serve-obs-hold --out "$OBS_TMP/BENCH_table3.json" >/dev/null &
+    --serve-obs-hold --out "$OBS_TMP/BENCH_table3.json" \
+    --events-out "$OBS_TMP/table3.evt" >/dev/null &
 OBS_PID=$!
-for _ in $(seq 1 600); do
-    [[ -s "$OBS_TMP/addr" && -s "$OBS_TMP/BENCH_table3.json" ]] && break
-    if ! kill -0 "$OBS_PID" 2>/dev/null; then
-        echo "serve-obs run exited before serving" >&2; exit 1
-    fi
-    sleep 0.1
-done
+wait_for() {
+    for _ in $(seq 1 600); do
+        [[ -s "$1" ]] && return 0
+        if ! kill -0 "$OBS_PID" 2>/dev/null; then
+            echo "serve-obs run exited before writing $1" >&2; return 1
+        fi
+        sleep 0.1
+    done
+    echo "timed out waiting for $1" >&2; return 1
+}
+wait_for "$OBS_TMP/addr"
+./target/release/cnnre-viz --follow "$(cat "$OBS_TMP/addr")" \
+    --out-dir "$OBS_TMP/follow" >/dev/null 2>&1 &
+FOLLOW_PID=$!
+wait_for "$OBS_TMP/BENCH_table3.json"
 ./target/release/cnnre obs-probe "$(cat "$OBS_TMP/addr")" \
     --against "$OBS_TMP/BENCH_table3.json" --quit
 wait "$OBS_PID"
+wait "$FOLLOW_PID"
+./target/release/cnnre-viz --replay "$OBS_TMP/table3.evt" \
+    --out-dir "$OBS_TMP/replay" >/dev/null 2>&1
+diff -r "$OBS_TMP/follow" "$OBS_TMP/replay"
 
 echo "==> tier-1 (multi-threaded solve): CNNRE_THREADS=4 cargo test -q"
 # Re-run the suite with the parallel solver/oracle engines engaged so the

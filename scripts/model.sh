@@ -10,7 +10,9 @@
 #     (steal/push races, empty steal, last-element race, shutdown,
 #     panic-in-task);
 #   - crates/obs: registry creation/increment race, profile ring slot
-#     claim race, stream hub client-queue handoff.
+#     claim race, a live follower attaching to the stream hub while an
+#     emitter publishes (every seq exactly once), HTTP shutdown and quit
+#     handshakes.
 #
 # Usage: scripts/model.sh
 set -euo pipefail

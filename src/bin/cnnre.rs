@@ -16,6 +16,7 @@
 //! tractable).
 
 use cnn_reveng::accel::{AccelConfig, Accelerator};
+use cnn_reveng::attacks::obsd::{MetricsSink, ObsSession, FLAGS_HELP};
 use cnn_reveng::attacks::structure::{recover_structures, NetworkSolverConfig};
 use cnn_reveng::attacks::weights::{
     recover_ratios, recover_ratios_parallel, AcceleratorOracle, FunctionalOracle, LayerGeometry,
@@ -28,96 +29,20 @@ use cnn_reveng::tensor::{init, Shape3, Shape4};
 use cnn_reveng::trace::defense::{obfuscate, OramConfig};
 use cnnre_tensor::rng::SmallRng;
 use cnnre_tensor::rng::{Rng, SeedableRng};
+use std::io::Read;
 
 fn main() {
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
-    // Global flags, accepted by every subcommand and stripped before
-    // dispatch. `--metrics` turns the otherwise-free instrumentation on;
-    // `--profile-out` additionally records the full span-tree timeline.
-    let metrics_path = take_flag_value(&mut args, "--metrics");
-    let profile_path = take_flag_value(&mut args, "--profile-out");
-    let events_path = take_flag_value(&mut args, "--events-out");
-    let events_tcp = take_flag_value(&mut args, "--events-tcp");
-    let serve_obs = take_flag_value(&mut args, "--serve-obs");
-    let serve_obs_hold = take_bool_flag(&mut args, "--serve-obs-hold");
-    if serve_obs_hold && serve_obs.is_none() {
-        eprintln!("--serve-obs-hold needs --serve-obs ADDR");
-        std::process::exit(2);
-    }
-    if let Some(threads) = take_flag_value(&mut args, "--threads") {
-        // Installed before any config is built, so `SolverConfig::default`
-        // and `RecoveryConfig::default` pick the worker count up. Attack
-        // output and recorded artifacts are byte-identical at any thread
-        // count (DESIGN.md §13); only wall clock changes.
-        match threads.parse::<usize>() {
-            Ok(n) if n >= 1 => {
-                cnn_reveng::attacks::exec::set_default_threads(n);
-            }
-            _ => {
-                eprintln!("--threads needs a positive integer worker count");
-                std::process::exit(2);
-            }
+    // The shared observability flags (`--metrics`, `--profile-out`,
+    // `--threads`, ...) are accepted by every subcommand and stripped
+    // before dispatch.
+    let session = match ObsSession::new(MetricsSink::Json) {
+        Ok(session) => session,
+        Err(e) => {
+            eprintln!("{e}");
+            std::process::exit(i32::from(e.exit_code()));
         }
-    }
-    let profile_clock = match take_flag_value(&mut args, "--profile-clock") {
-        Some(v) => match cnnre_obs::profile::ClockDomain::parse(&v) {
-            Some(c) => c,
-            None => {
-                eprintln!("unknown profile clock '{v}' (wall|cycles|both)");
-                std::process::exit(2);
-            }
-        },
-        None => cnnre_obs::profile::ClockDomain::Both,
     };
-    if let Some(level) = take_flag_value(&mut args, "--log-level") {
-        match cnnre_obs::log::Level::parse(&level) {
-            Some(Some(l)) => cnnre_obs::log::set_level(l),
-            Some(None) => cnnre_obs::log::set_off(),
-            None => {
-                eprintln!("unknown log level '{level}' (error|warn|info|debug|trace|off)");
-                std::process::exit(2);
-            }
-        }
-    }
-    if metrics_path.is_some() || profile_path.is_some() {
-        cnnre_obs::set_enabled(true);
-    }
-    if profile_path.is_some() {
-        cnnre_obs::profile::set_enabled(true);
-    }
-    if events_path.is_some() || events_tcp.is_some() {
-        // Streaming events also records the events.* counters.
-        cnnre_obs::set_enabled(true);
-        cnnre_obs::stream::set_enabled(true);
-        if events_path.is_some() {
-            cnnre_obs::stream::set_record(true);
-        }
-        if let Some(addr) = &events_tcp {
-            // A failed connect degrades to recording-only (if requested):
-            // the attack must never depend on the viewer being up.
-            if let Err(e) = cnnre_obs::stream::connect(addr) {
-                eprintln!("cannot connect event stream to {addr}: {e}");
-            }
-        }
-    }
-    // The live scrape server wants every signal source on: metrics (done
-    // by obsd::serve itself), the profiler ring for /profile, and the
-    // recorded event stream for /events replay.
-    let mut obs_daemon = match &serve_obs {
-        Some(addr) => {
-            cnnre_obs::profile::set_enabled(true);
-            cnnre_obs::stream::set_enabled(true);
-            cnnre_obs::stream::set_record(true);
-            match cnn_reveng::attacks::obsd::serve(addr) {
-                Ok(d) => Some(d),
-                Err(e) => {
-                    eprintln!("cannot serve observability on {addr}: {e}");
-                    std::process::exit(1);
-                }
-            }
-        }
-        None => None,
-    };
+    let args = session.args();
     let code = match args.first().map(String::as_str) {
         Some("trace") => cmd_trace(&args[1..]),
         Some("analyze") => cmd_analyze(&args[1..]),
@@ -140,93 +65,16 @@ fn main() {
             2
         }
     };
-    if let Some(path) = profile_path {
-        // The timeline export: Chrome Trace Event JSON by default, folded
-        // flamegraph stacks when the path says so. The cycle-domain track
-        // is synthesized from attached cycles, so it is byte-deterministic
-        // across identical seeded runs; the wall track is not.
-        let dropped = cnnre_obs::profile::dropped();
-        let events = cnnre_obs::profile::take();
-        let rendered = if path.ends_with(".folded") || path.ends_with(".txt") {
-            cnnre_obs::profile::folded_stacks(&events, profile_clock)
-        } else {
-            cnnre_obs::profile::chrome_trace(&events, profile_clock)
-        };
-        if let Err(e) = std::fs::write(&path, rendered) {
-            eprintln!("cannot write profile to {path}: {e}");
-            std::process::exit(1);
+    // Explicit: process::exit skips destructors, and the session owns
+    // the unwritten sinks plus the daemon's live sockets and pool.
+    let code = match session.finish(code == 0) {
+        Ok(()) => code,
+        Err(e) => {
+            eprintln!("{e}");
+            i32::from(e.exit_code())
         }
-        eprintln!(
-            "profile written to {path} ({} events, {dropped} dropped)",
-            events.len()
-        );
-    }
-    if let Some(path) = events_path {
-        let bytes = cnnre_obs::stream::take_recorded_bytes();
-        let dropped = cnnre_obs::stream::dropped();
-        if let Err(e) = std::fs::write(&path, &bytes) {
-            eprintln!("cannot write events to {path}: {e}");
-            std::process::exit(1);
-        }
-        eprintln!(
-            "events written to {path} ({} bytes, {dropped} dropped)",
-            bytes.len()
-        );
-    }
-    if events_tcp.is_some() {
-        // Give live clients a moment to drain before the process exits.
-        cnnre_obs::stream::flush(500);
-    }
-    if let Some(path) = metrics_path {
-        // Deterministic export: wall-clock metrics are excluded so two
-        // identical seeded runs write byte-identical files.
-        let snapshot = cnnre_obs::global().snapshot();
-        if let Err(e) = snapshot.write_json(std::path::Path::new(&path), false) {
-            eprintln!("cannot write metrics to {path}: {e}");
-            std::process::exit(1);
-        }
-        eprintln!("metrics written to {path}");
-    }
-    if let Some(daemon) = &obs_daemon {
-        if serve_obs_hold && code == 0 {
-            eprintln!(
-                "cnnre: run finished; still serving http://{} until GET /quit (--serve-obs-hold)",
-                daemon.addr()
-            );
-            daemon.wait_quit();
-        }
-    }
-    if let Some(mut daemon) = obs_daemon.take() {
-        // Explicit: process::exit below skips destructors, and the daemon
-        // owns live sockets plus a worker pool.
-        daemon.shutdown();
-    }
+    };
     std::process::exit(code);
-}
-
-/// Removes `name <value>` from `args`, returning the value. Exits with
-/// usage code 2 when the flag is present but the value is missing.
-fn take_flag_value(args: &mut Vec<String>, name: &str) -> Option<String> {
-    let pos = args.iter().position(|a| a == name)?;
-    if pos + 1 >= args.len() {
-        eprintln!("{name} needs a value");
-        std::process::exit(2);
-    }
-    let value = args.remove(pos + 1);
-    args.remove(pos);
-    Some(value)
-}
-
-/// Removes the bare flag `name` from `args`, returning whether it was
-/// present.
-fn take_bool_flag(args: &mut Vec<String>, name: &str) -> bool {
-    match args.iter().position(|a| a == name) {
-        Some(pos) => {
-            args.remove(pos);
-            true
-        }
-        None => false,
-    }
 }
 
 fn print_usage() {
@@ -239,23 +87,8 @@ fn print_usage() {
          cnnre obs-probe ADDR [--against METRICS_JSON] [--quit]\n  \
          cnnre --list-metrics\n\n\
          GLOBAL FLAGS:\n  \
-         --threads N          worker threads for the parallel attack engines (default:\n                       \
-         CNNRE_THREADS or 1); output is identical at any value\n  \
-         --metrics FILE       enable instrumentation, write a metrics snapshot (JSON)\n  \
-         --profile-out FILE   record the span-tree timeline; writes Chrome Trace JSON\n                       \
-         (open in ui.perfetto.dev), or folded flamegraph stacks\n                       \
-         when FILE ends in .folded/.txt\n  \
-         --profile-clock C    timeline clock domain: wall|cycles|both (default both)\n  \
-         --events-out FILE    record the live attack-event stream to a replayable .evt file\n                       \
-         (view with `cnnre-viz --replay FILE`)\n  \
-         --events-tcp ADDR    stream attack events to a listening viewer\n                       \
-         (start `cnnre-viz --listen ADDR` first)\n  \
-         --serve-obs ADDR     serve live observability over HTTP while running:\n                       \
-         /metrics /profile /progress /events /health\n                       \
-         (scrape with `cnnre obs-probe` or any Prometheus client)\n  \
-         --serve-obs-hold     keep serving after the run until a scraper sends GET /quit\n  \
-         --log-level LEVEL    stderr verbosity: error|warn|info|debug|trace|off\n                       \
-         (also settable via the CNNRE_LOG environment variable)\n\n\
+         --metrics FILE       enable instrumentation, write a metrics snapshot (JSON)\n\
+         {FLAGS_HELP}\n\n\
          MODELS: lenet | convnet | alexnet | squeezenet | vgg11 | vgg16 | resnet | inception\n        \
          (append /DIV for depth-scaled variants, e.g. alexnet/8)"
     );
@@ -565,11 +398,13 @@ fn cmd_obs_probe(args: &[String]) -> i32 {
         None => None,
     };
     let probe = |path: &str| -> Result<Vec<u8>, String> {
-        match cnnre_obs::http::get(addr, path) {
-            Ok((200, body)) => Ok(body),
-            Ok((status, _)) => Err(format!("status {status}")),
-            Err(e) => Err(e.to_string()),
+        let (status, mut body) = cnnre_obs::http::get(addr, path).map_err(|e| e.to_string())?;
+        if status != 200 {
+            return Err(format!("status {status}"));
         }
+        let mut bytes = Vec::new();
+        body.read_to_end(&mut bytes).map_err(|e| e.to_string())?;
+        Ok(bytes)
     };
     let mut failures = 0usize;
     let mut check = |endpoint: &str, outcome: Result<(), String>| match outcome {

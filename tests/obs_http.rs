@@ -19,8 +19,8 @@
 use cnn_reveng::accel::{AccelConfig, Accelerator};
 use cnn_reveng::attacks::structure::{recover_structures, NetworkSolverConfig};
 use cnn_reveng::nn::models::lenet;
-use cnnre_obs::http::get;
 use cnnre_tensor::rng::{SeedableRng, SmallRng};
+use std::io::Read;
 use std::path::PathBuf;
 use std::process::{Command, Stdio};
 use std::time::Duration;
@@ -29,6 +29,14 @@ fn golden_path(name: &str) -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
         .join("tests/golden")
         .join(name)
+}
+
+/// `GET path` with the whole body read.
+fn fetch(addr: &str, path: &str) -> std::io::Result<(u16, Vec<u8>)> {
+    let (status, mut body) = cnnre_obs::http::get(addr, path)?;
+    let mut bytes = Vec::new();
+    body.read_to_end(&mut bytes)?;
+    Ok((status, bytes))
 }
 
 /// Runs the golden pipeline (LeNet seed-0 trace + structure recovery)
@@ -68,9 +76,9 @@ fn live_scrape_is_deterministic_and_matches_golden() {
     // Scrape-during-live-registry determinism: the first scrape records
     // http.* and exec.pool.* activity of its own, yet the second scrape
     // must render byte-identically because those families are volatile.
-    let (status, first) = get(&addr, "/metrics").expect("first scrape");
+    let (status, first) = fetch(&addr, "/metrics").expect("first scrape");
     assert_eq!(status, 200);
-    let (_, second) = get(&addr, "/metrics").expect("second scrape");
+    let (_, second) = fetch(&addr, "/metrics").expect("second scrape");
     assert_eq!(first, second, "scraping /metrics must not perturb it");
     let text = String::from_utf8_lossy(&first).into_owned();
     assert!(
@@ -79,19 +87,19 @@ fn live_scrape_is_deterministic_and_matches_golden() {
             && !text.contains("cnnre_exec_pool_"),
         "volatile families must be excluded from the default exposition"
     );
-    let (_, with_volatile) = get(&addr, "/metrics?volatile=1").expect("volatile scrape");
+    let (_, with_volatile) = fetch(&addr, "/metrics?volatile=1").expect("volatile scrape");
     assert!(
         String::from_utf8_lossy(&with_volatile).contains("cnnre_http_requests"),
         "?volatile=1 must include the live http.* families"
     );
 
-    let (status, body) = get(&addr, "/health").expect("health");
+    let (status, body) = fetch(&addr, "/health").expect("health");
     assert_eq!(status, 200);
     assert!(String::from_utf8_lossy(&body).contains("\"status\": \"ok\""));
-    let (status, body) = get(&addr, "/profile?clock=cycles").expect("profile");
+    let (status, body) = fetch(&addr, "/profile?clock=cycles").expect("profile");
     assert_eq!(status, 200);
     assert!(String::from_utf8_lossy(&body).contains("traceEvents"));
-    let (status, body) = get(&addr, "/progress").expect("progress");
+    let (status, body) = fetch(&addr, "/progress").expect("progress");
     assert_eq!(status, 200);
     let progress = String::from_utf8_lossy(&body).into_owned();
     assert!(progress.contains("\"runs\""));
@@ -99,7 +107,7 @@ fn live_scrape_is_deterministic_and_matches_golden() {
         progress.contains("attack.structure"),
         "the run table must list the structure attack: {progress}"
     );
-    let (status, body) = get(&addr, "/events").expect("events");
+    let (status, body) = fetch(&addr, "/events").expect("events");
     assert_eq!(status, 200);
     assert!(body.starts_with(cnnre_obs::stream::MAGIC));
     let events = cnnre_obs::stream::read_stream(body.as_slice()).expect("replay decodes");

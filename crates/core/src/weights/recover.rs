@@ -18,19 +18,19 @@
 //!   other observable crossing is predictable.
 //!
 //! The adversary predicts the known-weight crossings with a *virtual
-//! model*: the same pruned-layer pipeline evaluated over the recovered
-//! `w/b` values with a unit-magnitude bias (crossing positions only depend
-//! on the ratios). Any unpredicted crossing belongs to the target weight.
+//! model*: the pruned layer over the recovered `w/b` values with a
+//! unit-magnitude bias (crossing positions only depend on the ratios). The
+//! model is known exactly, so its crossings are computed in closed form
+//! from the roots of the taps' affine pre-activations rather than searched
+//! for. Any unpredicted crossing belongs to the target weight.
 
 use cnnre_model::sync::Arc;
-use cnnre_nn::layer::{Conv2d, PoolKind};
-use cnnre_tensor::{Shape4, Tensor4};
+use cnnre_nn::layer::PoolKind;
+use cnnre_tensor::Tensor4;
 
 use crate::exec::map_ordered;
 
-use crate::weights::oracle::{
-    FunctionalOracle, LayerGeometry, MergedOrder, Probe, ZeroCountOracle,
-};
+use crate::weights::oracle::{LayerGeometry, MergedOrder, Probe, ZeroCountOracle};
 use crate::weights::search::{find_crossings, Crossing, SearchConfig};
 
 /// Recovery configuration.
@@ -171,38 +171,155 @@ impl RatioRecovery {
     }
 }
 
-/// Builds the adversary's virtual model of one filter from recovered
-/// ratios: weights = `w/|b|` values (unknowns set to 0), bias = `±1`, so
-/// the virtual pre-activation values equal the true ones divided by `|b|`
-/// — sign-faithful, hence crossing positions coincide.
-fn virtual_oracle(
-    geom: &LayerGeometry,
-    filter: &RecoveredFilter,
-    bias_positive: bool,
-) -> FunctionalOracle {
-    let (d_ifm, f) = (geom.input.c, geom.f);
-    let sign = if bias_positive { 1.0f32 } else { -1.0 };
-    let mut w = Tensor4::zeros(Shape4::new(1, d_ifm, f, f));
-    for c in 0..d_ifm {
-        for i in 0..f {
-            for j in 0..f {
-                w[(0, c, i, j)] = sign * filter.ratio(c, i, j).unwrap_or(0.0) as f32;
+/// The adversary's virtual model of one filter under one probe set, in
+/// closed form. With the target probe value `x` as the only variable, every
+/// conv tap the probe reaches has the pre-activation `k + a·x` in `|b|`
+/// units: `a` is the recovered ratio at the probe's filter offset and `k`
+/// the bias sign plus the pins' contributions (unknown weights count as 0).
+/// An output position is non-zero while any tap of its pooling window is
+/// positive; for sum-based average pooling before the activation the
+/// window collapses into the one affine form of its sum. The count function
+/// can therefore only step at the roots `−k/a`, so the predicted crossings
+/// follow from the roots and one count per interval between them instead of
+/// a grid search over the model. The model compares against 0 whatever the
+/// victim's threshold `t`: ratios are relative to the effective bias
+/// `b' = b − t` throughout.
+struct VirtualModel {
+    /// `(k, a)` of every window tap, grouped by output position.
+    forms: Vec<(f64, f64)>,
+    /// End offset into `forms` of each output position's window.
+    ends: Vec<usize>,
+}
+
+impl VirtualModel {
+    /// Builds the model of the output positions the target probe reaches;
+    /// the positions it does not reach are constant in `x` and cannot step.
+    fn new(
+        geom: &LayerGeometry,
+        filter: &RecoveredFilter,
+        bias_positive: bool,
+        t: &Target,
+        pins: &[Probe],
+    ) -> Self {
+        let sign = if bias_positive { 1.0 } else { -1.0 };
+        // The ratio through which input pixel (c, y, x) reaches tap v.
+        let reach = |c: usize, y: usize, x: usize, v: (usize, usize)| -> f64 {
+            weight_at(geom, (y, x), v)
+                .and_then(|(fy, fx)| filter.ratio(c, fy, fx))
+                .unwrap_or(0.0)
+        };
+        let form = |v: (usize, usize)| -> (f64, f64) {
+            let pinned: f64 = pins
+                .iter()
+                .map(|p| reach(p.c, p.y, p.x, v) * f64::from(p.value))
+                .sum();
+            (sign * (1.0 + pinned), sign * reach(t.c, t.y, t.x, v))
+        };
+        let mut taps = affected_taps(geom, t);
+        taps.push(t.tap);
+        let mut model = Self {
+            forms: Vec::new(),
+            ends: Vec::new(),
+        };
+        let Some((kind, f_p, s_p, p_p)) = geom.pool else {
+            for v in taps {
+                model.forms.push(form(v));
+                model.ends.push(model.forms.len());
+            }
+            return model;
+        };
+        let conv_w = geom.conv_out_w().unwrap_or_default();
+        let out_w = geom.final_out_w().unwrap_or_default();
+        let windows_of = |v: usize| {
+            let lo = (v + p_p).saturating_sub(f_p - 1).div_ceil(s_p);
+            lo..=((v + p_p) / s_p).min(out_w.saturating_sub(1))
+        };
+        let mut windows: Vec<(usize, usize)> = taps
+            .iter()
+            .flat_map(|&(vy, vx)| {
+                windows_of(vy).flat_map(move |py| windows_of(vx).map(move |px| (py, px)))
+            })
+            .collect();
+        windows.sort_unstable();
+        windows.dedup();
+        let window_sum = kind == PoolKind::Avg && geom.order == MergedOrder::PoolThenAct;
+        for (py, px) in windows {
+            let start = model.forms.len();
+            for fy in 0..f_p {
+                for fx in 0..f_p {
+                    let cy = (py * s_p + fy).checked_sub(p_p);
+                    let cx = (px * s_p + fx).checked_sub(p_p);
+                    if let (Some(cy), Some(cx)) = (cy, cx) {
+                        if cy < conv_w && cx < conv_w {
+                            model.forms.push(form((cy, cx)));
+                        }
+                    }
+                }
+            }
+            if window_sum {
+                let sum = model
+                    .forms
+                    .drain(start..)
+                    .fold((0.0, 0.0), |(k, a), (dk, da)| (k + dk, a + da));
+                model.forms.push(sum);
+            }
+            model.ends.push(model.forms.len());
+        }
+        model
+    }
+
+    /// Non-zero output positions at probe value `x` (of the positions the
+    /// probe reaches).
+    fn count(&self, x: f64) -> i64 {
+        let mut start = 0;
+        let mut n = 0;
+        for &end in &self.ends {
+            n += i64::from(self.forms[start..end].iter().any(|&(k, a)| k + a * x > 0.0));
+            start = end;
+        }
+        n
+    }
+
+    /// The steps of the count function inside `±x_max`. Roots closer than
+    /// the bisection tolerance are one crossing with the summed delta, as
+    /// the victim-side search would report them; a cluster whose net delta
+    /// is zero is no step.
+    fn crossings(&self, search: &SearchConfig) -> Vec<Crossing> {
+        let x_max = f64::from(search.x_max);
+        let mut roots: Vec<f64> = self
+            .forms
+            .iter()
+            // lint:allow(float-eq): a tap the probe reaches through an exact
+            // zero (pruned or unknown) weight is constant and has no root.
+            .filter(|&&(_, a)| a != 0.0)
+            .map(|&(k, a)| -k / a)
+            .filter(|r| r.abs() < x_max)
+            .collect();
+        roots.sort_unstable_by(f64::total_cmp);
+        let mut clusters: Vec<(f64, f64)> = Vec::new();
+        for r in roots {
+            match clusters.last_mut() {
+                Some((lo, hi)) if search.bracket_converged(*lo, r) => *hi = r,
+                _ => clusters.push((r, r)),
             }
         }
+        let mut out = Vec::new();
+        let mut below = self.count(-x_max);
+        for (n, &(lo, hi)) in clusters.iter().enumerate() {
+            let above = match clusters.get(n + 1) {
+                Some(&(next, _)) => self.count(0.5 * (hi + next)),
+                None => self.count(x_max),
+            };
+            if above != below {
+                out.push(Crossing {
+                    x: 0.5 * (lo + hi),
+                    delta: above - below,
+                });
+            }
+            below = above;
+        }
+        out
     }
-    let conv =
-        // lint:allow(panic): w was allocated as exactly (1, c, f, f) above
-        Conv2d::from_parts(w, vec![sign], geom.s, geom.p).expect("virtual filter construction");
-    // A non-zero pruning threshold t is equivalent to shifting the bias to
-    // b' = b − t and comparing against zero; the recovery operates in
-    // b'-normalized units throughout (ratios come out as w/b'), so the
-    // virtual model always runs at threshold 0.
-    let virt_geom = LayerGeometry {
-        d_ofm: 1,
-        threshold: 0.0,
-        ..*geom
-    };
-    FunctionalOracle::new(conv, virt_geom)
 }
 
 fn crossings_match(a: f64, b: f64, cfg: &RecoveryConfig) -> bool {
@@ -229,16 +346,22 @@ struct Target {
 impl Target {
     /// Whether the probe pixel reaches conv-output tap `(vy, vx)` — and
     /// through which weight index.
-    fn probe_weight_at(
-        &self,
-        geom: &LayerGeometry,
-        (vy, vx): (usize, usize),
-    ) -> Option<(usize, usize)> {
-        let fy = (self.y + geom.p) as isize - (vy * geom.s) as isize;
-        let fx = (self.x + geom.p) as isize - (vx * geom.s) as isize;
-        (fy >= 0 && fx >= 0 && (fy as usize) < geom.f && (fx as usize) < geom.f)
-            .then_some((fy as usize, fx as usize))
+    fn probe_weight_at(&self, geom: &LayerGeometry, v: (usize, usize)) -> Option<(usize, usize)> {
+        weight_at(geom, (self.y, self.x), v)
     }
+}
+
+/// The filter offset through which input pixel `(y, x)` reaches conv-output
+/// tap `(vy, vx)`, if it does.
+fn weight_at(
+    geom: &LayerGeometry,
+    (y, x): (usize, usize),
+    (vy, vx): (usize, usize),
+) -> Option<(usize, usize)> {
+    let fy = (y + geom.p) as isize - (vy * geom.s) as isize;
+    let fx = (x + geom.p) as isize - (vx * geom.s) as isize;
+    (fy >= 0 && fx >= 0 && (fy as usize) < geom.f && (fx as usize) < geom.f)
+        .then_some((fy as usize, fx as usize))
 }
 
 /// Builds a target anchored at conv-output tap `(t_r, t_c)`.
@@ -912,8 +1035,8 @@ fn finish_recovery(
         reg.counter("weights.zero_identified").add(zeros);
         reg.counter("weights.unrecovered").add(unrecovered);
         // `oracle.queries` counts every ZeroCountOracle query in the
-        // process, including the attacker's own virtual-oracle simulations;
-        // this is the victim-facing subset (the paper's cost metric).
+        // process; this is the victim-facing subset of the weight attack
+        // (the paper's cost metric).
         reg.counter("oracle.victim_queries").add(total_queries);
     }
     cnnre_obs::log_info!(
@@ -940,21 +1063,7 @@ fn virtual_crossings(
     pins: &[Probe],
     cfg: &RecoveryConfig,
 ) -> Vec<Crossing> {
-    let mut virt = virtual_oracle(geom, filter, bias_positive);
-    find_crossings(
-        |v| {
-            let mut probes = Vec::with_capacity(pins.len() + 1);
-            probes.push(Probe {
-                c: t.c,
-                y: t.y,
-                x: t.x,
-                value: v,
-            });
-            probes.extend_from_slice(pins);
-            virt.query_filter(0, &probes)
-        },
-        &cfg.search,
-    )
+    VirtualModel::new(geom, filter, bias_positive, t, pins).crossings(&cfg.search)
 }
 
 /// Whether the observed and predicted crossing sets coincide one-to-one,
@@ -1163,9 +1272,12 @@ fn recover_one(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::weights::oracle::FunctionalOracle;
+    use crate::weights::search::find_crossings;
+    use cnnre_nn::layer::Conv2d;
     use cnnre_tensor::rng::SmallRng;
     use cnnre_tensor::rng::{Rng, SeedableRng};
-    use cnnre_tensor::Shape3;
+    use cnnre_tensor::{Shape3, Shape4};
 
     fn make_geom(
         input: Shape3,
@@ -1347,6 +1459,262 @@ mod tests {
         assert!(recovery.bias_positive.iter().all(|&b| b));
         assert!(recovery.coverage() > 0.999);
         assert!(recovery.max_ratio_error(conv.weights(), conv.bias()) < 2f64.powi(-10));
+    }
+
+    /// The reference for the closed-form predictor: the virtual model as a
+    /// [`FunctionalOracle`] over the recovered ratios (unknowns 0, bias
+    /// `±1`, threshold 0), grid-searched with [`find_crossings`] exactly as
+    /// the victim is.
+    fn searched_virtual_crossings(
+        geom: &LayerGeometry,
+        filter: &RecoveredFilter,
+        bias_positive: bool,
+        t: &Target,
+        pins: &[Probe],
+        cfg: &RecoveryConfig,
+    ) -> Vec<Crossing> {
+        let (d_ifm, f) = (geom.input.c, geom.f);
+        let sign = if bias_positive { 1.0f32 } else { -1.0 };
+        let mut w = Tensor4::zeros(Shape4::new(1, d_ifm, f, f));
+        for c in 0..d_ifm {
+            for i in 0..f {
+                for j in 0..f {
+                    w[(0, c, i, j)] = sign * filter.ratio(c, i, j).unwrap_or(0.0) as f32;
+                }
+            }
+        }
+        let conv = Conv2d::from_parts(w, vec![sign], geom.s, geom.p).expect("virtual filter");
+        let virt_geom = LayerGeometry {
+            d_ofm: 1,
+            threshold: 0.0,
+            ..*geom
+        };
+        let mut virt = FunctionalOracle::new(conv, virt_geom);
+        find_crossings(
+            |v| {
+                let mut probes = vec![Probe {
+                    c: t.c,
+                    y: t.y,
+                    x: t.x,
+                    value: v,
+                }];
+                probes.extend_from_slice(pins);
+                virt.query_filter(0, &probes)
+            },
+            &cfg.search,
+        )
+    }
+
+    /// What the agreement check exercised, so a test can demand coverage.
+    #[derive(Debug, Default)]
+    struct Coverage {
+        cases: usize,
+        /// Cases the f32 reference cannot resolve (see `f32_resolves`).
+        unresolved: usize,
+        pinned: usize,
+        merged: usize,
+        clipped: usize,
+    }
+
+    /// Whether the f32 reference model resolves every tap of `model`: places
+    /// its in-range root to within the matching tolerance, or keeps its sign
+    /// across the searched range. Pins reach ~1e9 in `|b|` units and more;
+    /// where their contributions cancel at a tap, f32 rounding of the sum
+    /// moves that tap's root (or flips its sign) far beyond the tolerance,
+    /// while the closed form evaluates the same sum in f64. The bound is the
+    /// usual accumulated-rounding one, `2⁻²⁴ · n · Σ|term|` for `n`
+    /// roundings, with `Σ|term|` taken from the model over absolute ratios
+    /// and pin values. Without cancellation it stays ~5x inside the
+    /// tolerance.
+    fn f32_resolves(
+        geom: &LayerGeometry,
+        filter: &RecoveredFilter,
+        model: &VirtualModel,
+        t: &Target,
+        pins: &[Probe],
+        cfg: &RecoveryConfig,
+    ) -> bool {
+        let mut magnitude = filter.clone();
+        for r in magnitude.ratios.iter_mut().flatten() {
+            *r = r.abs();
+        }
+        let abs_pins: Vec<Probe> = pins
+            .iter()
+            .map(|p| Probe {
+                value: p.value.abs(),
+                ..*p
+            })
+            .collect();
+        let bound = VirtualModel::new(geom, &magnitude, true, t, &abs_pins);
+        let x_max = f64::from(cfg.search.x_max);
+        const ROUNDINGS: f64 = 16.0;
+        model
+            .forms
+            .iter()
+            .zip(&bound.forms)
+            .all(|(&(k, a), &(k_abs, a_abs))| {
+                let rounding = |x: f64| 2f64.powi(-24) * ROUNDINGS * (k_abs + a_abs * x.abs());
+                let root = -k / a;
+                if root.abs() < x_max {
+                    rounding(root) / a.abs() < cfg.match_abs_tol + cfg.match_rel_tol * root.abs()
+                } else {
+                    // No root in range: the sign must hold across it.
+                    [-x_max, x_max]
+                        .iter()
+                        .all(|&x| (k + a * x).abs() > rounding(x))
+                }
+            })
+    }
+
+    /// The net step the searched reference reports around `x`. Bisection
+    /// reports near-coincident roots as one crossing when they share a final
+    /// bracket and as two when a midpoint falls between them, so a merged
+    /// closed-form crossing is compared with the sum of the reference's
+    /// crossings within the matching tolerance.
+    fn searched_step(x: f64, searched: &[Crossing], cfg: &RecoveryConfig) -> i64 {
+        searched
+            .iter()
+            .filter(|s| crossings_match(x, s.x, cfg))
+            .map(|s| s.delta)
+            .sum()
+    }
+
+    /// Compares the closed-form predictor with the grid-searched reference
+    /// over every anchor of every `stride`-th weight, for both bias signs,
+    /// unpinned and with the pins `build_pins` chooses, each with the target
+    /// unknown and with its true ratio filled in (the verification trial).
+    /// The filter is quantized (equal weights give coincident roots), every
+    /// fifth weight is left unknown (so pins are needed) and every seventh
+    /// is tiny (its roots lie beyond `±x_max`).
+    fn check_predictor(geom: LayerGeometry, seed: u64, stride: usize) -> Coverage {
+        let cfg = RecoveryConfig::default();
+        let x_max = f64::from(cfg.search.x_max);
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let shape = Shape4::new(1, geom.input.c, geom.f, geom.f);
+        let weights = cnnre_tensor::init::compressed_conv(&mut rng, shape, 0.45, 3);
+        let bias = rng.gen_range(0.05..0.5f64);
+        let mut truth = RecoveredFilter::new(geom.input.c, geom.f);
+        let mut known = RecoveredFilter::new(geom.input.c, geom.f);
+        for (n, &w) in weights.as_slice().iter().enumerate() {
+            // Recovered ratios carry a measurement error far below the
+            // bisection tolerance, so equal weights give near-coincident
+            // (not identical) roots.
+            let noise = 1.0 + 1e-8 * rng.gen_range(-1.0..1.0);
+            let ratio = if n % 7 == 3 {
+                1e-5
+            } else {
+                noise * f64::from(w) / bias
+            };
+            truth.ratios[n] = Some(ratio);
+            known.ratios[n] = (n % 5 != 1).then_some(ratio);
+        }
+        let mut seen = Coverage::default();
+        for bias_positive in [false, true] {
+            for (n, &(c, i, j)) in pass1_split(&geom).0.iter().enumerate() {
+                if n % stride != 0 {
+                    continue;
+                }
+                for t in candidate_targets(&geom, c, i, j).into_iter().flatten() {
+                    let mut trial = known.clone();
+                    trial.set(c, i, j, truth.ratio(c, i, j));
+                    let pins = build_pins(&geom, &known, bias_positive, &t).map(|p| p.probes);
+                    for filter in [&known, &trial] {
+                        for pins in [Some(Vec::new()), pins.clone()].iter().flatten() {
+                            let model = VirtualModel::new(&geom, filter, bias_positive, &t, pins);
+                            if !f32_resolves(&geom, filter, &model, &t, pins, &cfg) {
+                                seen.unresolved += 1;
+                                continue;
+                            }
+                            let closed = model.crossings(&cfg.search);
+                            let searched = searched_virtual_crossings(
+                                &geom,
+                                filter,
+                                bias_positive,
+                                &t,
+                                pins,
+                                &cfg,
+                            );
+                            let agree = closed
+                                .iter()
+                                .all(|c| searched_step(c.x, &searched, &cfg) == c.delta)
+                                && searched.iter().all(|s| {
+                                    closed.iter().any(|c| crossings_match(s.x, c.x, &cfg))
+                                });
+                            assert!(
+                                agree,
+                                "{geom:?} seed {seed} positive {bias_positive} target \
+                                 ({c},{i},{j}) at {:?}, {} pins:\n closed   {closed:?}\n \
+                                 searched {searched:?}",
+                                t.tap,
+                                pins.len()
+                            );
+                            seen.cases += 1;
+                            seen.pinned += usize::from(!pins.is_empty());
+                            seen.merged += usize::from(closed.iter().any(|x| x.delta.abs() > 1));
+                            seen.clipped += usize::from(
+                                model
+                                    .forms
+                                    .iter()
+                                    .any(|&(k, a)| a != 0.0 && (k / a).abs() >= x_max),
+                            );
+                        }
+                    }
+                }
+            }
+        }
+        seen
+    }
+
+    /// Runs [`check_predictor`] and demands that it compared pinned cases
+    /// and models with roots beyond `±x_max`, and that the f32 reference
+    /// resolved all but a few cases.
+    fn assert_predictor_agrees(geom: LayerGeometry, seed: u64, stride: usize) -> Coverage {
+        let seen = check_predictor(geom, seed, stride);
+        assert!(
+            seen.pinned > 0 && seen.clipped > 0 && seen.unresolved * 20 < seen.cases,
+            "{geom:?}: {seen:?}"
+        );
+        seen
+    }
+
+    #[test]
+    fn closed_form_predictor_matches_searched_model_without_pooling() {
+        let geom = make_geom(Shape3::new(2, 10, 10), 1, 3, 1, 0, None);
+        let seen = assert_predictor_agrees(geom, 11, 1);
+        assert!(seen.merged > 0, "no coincident roots: {seen:?}");
+    }
+
+    #[test]
+    fn closed_form_predictor_matches_searched_model_through_max_pooling() {
+        let pool = Some((PoolKind::Max, 2, 2, 0));
+        let geom = make_geom(Shape3::new(2, 12, 12), 1, 3, 1, 0, pool);
+        let seen = assert_predictor_agrees(geom, 12, 1);
+        assert!(seen.merged > 0, "no coincident roots: {seen:?}");
+    }
+
+    #[test]
+    fn closed_form_predictor_matches_searched_model_on_alexnet_conv1_geometry() {
+        // 11x11/s4 with padding, overlapping 3x3/s2 max pooling.
+        let pool = Some((PoolKind::Max, 3, 2, 0));
+        let geom = make_geom(Shape3::new(2, 39, 39), 1, 11, 4, 2, pool);
+        let seen = assert_predictor_agrees(geom, 13, 7);
+        assert!(seen.merged > 0, "no coincident roots: {seen:?}");
+    }
+
+    #[test]
+    fn closed_form_predictor_matches_searched_model_through_average_pooling() {
+        let mut geom = make_geom(
+            Shape3::new(2, 12, 12),
+            1,
+            3,
+            1,
+            0,
+            Some((PoolKind::Avg, 2, 2, 0)),
+        );
+        geom.order = MergedOrder::PoolThenAct;
+        // Each window here collapses into the sum of its taps, so coincident
+        // roots need two equal window sums; they are not demanded.
+        assert_predictor_agrees(geom, 14, 1);
     }
 
     #[test]

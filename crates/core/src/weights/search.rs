@@ -51,7 +51,8 @@ impl Default for SearchConfig {
 }
 
 impl SearchConfig {
-    fn bracket_converged(&self, lo: f64, hi: f64) -> bool {
+    /// Whether `[lo, hi]` is as narrow as the bisection refines a step.
+    pub(crate) fn bracket_converged(&self, lo: f64, hi: f64) -> bool {
         let width = hi - lo;
         if width < self.x_tol {
             return true;

@@ -175,7 +175,7 @@ pub const METRICS: &[MetricDef] = &[
     MetricDef {
         name: "oracle.queries",
         kind: "counter",
-        help: "zero-count oracle queries, victim and virtual",
+        help: "zero-count oracle queries (the virtual model is closed-form, never queried)",
     },
     MetricDef {
         name: "oracle.victim_queries",
@@ -325,17 +325,17 @@ pub const METRICS: &[MetricDef] = &[
     MetricDef {
         name: "weights.search.crossings",
         kind: "counter",
-        help: "zero-count step crossings located by the search",
+        help: "zero-count step crossings located by victim-side searches",
     },
     MetricDef {
         name: "weights.search.grid_probes",
         kind: "counter",
-        help: "coarse-grid oracle probes before refinement",
+        help: "coarse-grid victim probes before refinement",
     },
     MetricDef {
         name: "weights.search.refine_steps",
         kind: "counter",
-        help: "binary-search refinement steps",
+        help: "binary-search refinement steps of victim-side searches",
     },
     MetricDef {
         name: "weights.unrecovered",
